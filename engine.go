@@ -16,14 +16,15 @@ import (
 
 // Engine is a reusable high-throughput executor for one design, built on
 // the lazy-DFA matching tier (with the bitset-simulator fallback for
-// counter and gate components). One engine serves many goroutines: each
-// worker draws an independent matcher clone and a recycled report buffer
-// from internal pools, so per-stream setup cost is a pool hit, not a
-// table rebuild.
+// counter and gate components). One engine serves many goroutines, and
+// all of them walk the design's one lazy-DFA cache: a transition any
+// stream materializes serves every later stream on every worker, and the
+// cache survives garbage collection for the engine's lifetime. Its memory
+// is bounded per design (WithMaxCacheBytes), not per worker.
 //
 // Engines are safe for concurrent use.
 type Engine struct {
-	proto   *lazydfa.Matcher
+	m       *lazydfa.Matcher
 	reports map[int]string
 	workers int
 	tel     *engineMetrics
@@ -34,7 +35,6 @@ type Engine struct {
 	laneProto *automata.LaneSimulator
 	lanes     int
 
-	matchers sync.Pool // *lazydfa.Matcher
 	bufs     sync.Pool // *[]lazydfa.Report
 	laneSims sync.Pool // *automata.LaneSimulator
 }
@@ -77,7 +77,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		prefilterSkipped: reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
 			"Input bytes skipped by the rest-state literal prefilter."),
 		demotions: reg.Counter("rapid_lazydfa_demotions_total",
-			"Lazy-DFA matchers that demoted to the NFA bitset walk."),
+			"Lazy-DFA designs that demoted to the NFA bitset walk."),
 		lanes: reg.Gauge("rapid_engine_lanes",
 			"Effective lane-batch width (0 = lane execution disabled or unavailable)."),
 		laneGroups: reg.Counter("rapid_engine_lane_groups_total",
@@ -100,15 +100,14 @@ func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	proto, err := lazydfa.New(d.net, &lazydfa.Options{
+	m, err := lazydfa.New(d.net, &lazydfa.Options{
 		MaxCachedStates: cfg.maxCachedStates,
 		MaxCacheBytes:   cfg.maxCacheBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{proto: proto, reports: d.reports, workers: workers, tel: newEngineMetrics(cfg.tel)}
-	e.matchers.New = func() any { return e.proto.Clone() }
+	e := &Engine{m: m, reports: d.reports, workers: workers, tel: newEngineMetrics(cfg.tel)}
 	e.bufs.New = func() any { return new([]lazydfa.Report) }
 	if cfg.lanes > 1 {
 		// lazydfa.New froze d.net above, so Freeze returns the cached
@@ -140,47 +139,50 @@ func (e *Engine) Lanes() int { return e.lanes }
 // "lazy-dfa+bitset", or "bitset".
 func (e *Engine) Tiers() string {
 	switch {
-	case e.proto.HasLazyTier() && e.proto.HasBitsetTier():
+	case e.m.HasLazyTier() && e.m.HasBitsetTier():
 		return "lazy-dfa+bitset"
-	case e.proto.HasLazyTier():
+	case e.m.HasLazyTier():
 		return "lazy-dfa"
 	default:
 		return "bitset"
 	}
 }
 
-// Run executes one stream on a pooled matcher and returns the report
-// events in (offset, code) order, deduplicated by (offset, code).
+// CacheStats is a live view of a design's shared lazy-DFA cache.
+type CacheStats struct {
+	// States is the number of DFA states currently interned.
+	States int
+	// Bytes estimates their memory, in the units WithMaxCacheBytes caps.
+	Bytes int64
+	// Demoted reports that the design gave up on the DFA for the NFA
+	// bitset walk (sticky; the cache is then empty).
+	Demoted bool
+}
+
+// CacheStats reads the design's lazy-DFA cache state. All zero when the
+// design runs entirely on the bitset tier.
+func (e *Engine) CacheStats() CacheStats {
+	return CacheStats{States: e.m.CachedStates(), Bytes: e.m.CacheBytes(), Demoted: e.m.Demoted()}
+}
+
+// Run executes one stream and returns the report events in (offset, code)
+// order, deduplicated by (offset, code).
 func (e *Engine) Run(ctx context.Context, input []byte) ([]Report, error) {
-	m := e.matchers.Get().(*lazydfa.Matcher)
-	defer e.matchers.Put(m)
-	return e.runOn(ctx, m, input)
-}
-
-// RunBytes is Run with context.Background().
-func (e *Engine) RunBytes(input []byte) ([]Report, error) {
-	return e.Run(context.Background(), input)
-}
-
-func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([]Report, error) {
 	var start time.Time
-	var fills0, flushes0, evictions0, skipped0, demotions0 int
 	if e.tel != nil {
 		start = time.Now()
-		fills0, flushes0 = m.Fills(), m.Flushes()
-		evictions0, skipped0, demotions0 = m.Evictions(), m.PrefilterSkipped(), m.Demotions()
 	}
 	bufp := e.bufs.Get().(*[]lazydfa.Report)
 	defer e.bufs.Put(bufp)
-	raw, err := m.RunAppend(ctx, input, (*bufp)[:0])
+	raw, st, err := e.m.RunAppend(ctx, input, (*bufp)[:0])
 	*bufp = raw[:0]
 	if e.tel != nil {
 		e.tel.bm.record(len(input), len(raw), err, start)
-		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
-		e.tel.cacheFlushes.Add(uint64(m.Flushes() - flushes0))
-		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
-		e.tel.prefilterSkipped.Add(uint64(m.PrefilterSkipped() - skipped0))
-		e.tel.demotions.Add(uint64(m.Demotions() - demotions0))
+		e.tel.cacheFills.Add(uint64(st.Fills))
+		e.tel.cacheFlushes.Add(uint64(st.Demotions)) // demotion is the only whole-cache drop
+		e.tel.cacheEvictions.Add(uint64(st.Evictions))
+		e.tel.prefilterSkipped.Add(uint64(st.PrefilterSkipped))
+		e.tel.demotions.Add(uint64(st.Demotions))
 	}
 	if err != nil {
 		return nil, err
@@ -190,6 +192,11 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: e.reports[r.Code]}
 	}
 	return out, nil
+}
+
+// RunBytes is Run with context.Background().
+func (e *Engine) RunBytes(input []byte) ([]Report, error) {
+	return e.Run(context.Background(), input)
 }
 
 // RunBatch shards independent streams across the engine's worker pool and
@@ -227,10 +234,8 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 		workers = len(inputs)
 	}
 	if workers <= 1 {
-		m := e.matchers.Get().(*lazydfa.Matcher)
-		defer e.matchers.Put(m)
 		for i, input := range inputs {
-			reports, err := e.runOn(ctx, m, input)
+			reports, err := e.Run(ctx, input)
 			if err != nil {
 				return results, fmt.Errorf("rapid: engine stream %d: %w", i, err)
 			}
@@ -259,14 +264,12 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := e.matchers.Get().(*lazydfa.Matcher)
-			defer e.matchers.Put(m)
 			for {
 				i := int(next.Add(1))
 				if i >= len(inputs) {
 					return
 				}
-				reports, err := e.runOn(ctx, m, inputs[i])
+				reports, err := e.Run(ctx, inputs[i])
 				if err != nil {
 					fail(fmt.Errorf("rapid: engine stream %d: %w", i, err))
 					return
@@ -424,13 +427,13 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 	}
 	var next atomic.Int64
 	next.Store(-1)
-	work := func(m *lazydfa.Matcher) {
+	work := func() {
 		for {
 			i := int(next.Add(1))
 			if i >= len(inputs) {
 				return
 			}
-			reports, err := e.runOn(ctx, m, inputs[i])
+			reports, err := e.Run(ctx, inputs[i])
 			if err != nil {
 				err = fmt.Errorf("rapid: engine stream %d: %w", i, err)
 			}
@@ -446,9 +449,7 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 		workers = len(inputs)
 	}
 	if workers <= 1 {
-		m := e.matchers.Get().(*lazydfa.Matcher)
-		defer e.matchers.Put(m)
-		work(m)
+		work()
 		return results
 	}
 	var wg sync.WaitGroup
@@ -456,9 +457,7 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := e.matchers.Get().(*lazydfa.Matcher)
-			defer e.matchers.Put(m)
-			work(m)
+			work()
 		}()
 	}
 	wg.Wait()

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/telemetry"
 )
 
 // TestEngineMatchesSimulatorOnBenchmarks is the paper-benchmark half of the
@@ -328,5 +331,164 @@ func TestEngineRunBatchSettledCancel(t *testing.T) {
 		if want := fmt.Sprintf("stream %d", i); !strings.Contains(r.Err.Error(), want) {
 			t.Fatalf("stream %d error %q does not name its stream", i, r.Err)
 		}
+	}
+}
+
+// TestEngineCacheSurvivesGC checks the engine's lazy-DFA cache outlives
+// garbage collection: once a pure-STE design is warm on an input, the same
+// input run again after two GCs (which empty every sync.Pool) materializes
+// no transitions at all.
+func TestEngineCacheSurvivesGC(t *testing.T) {
+	design := mustDesign(t, slidingSrc, Str("abc"))
+	reg := telemetry.NewRegistry()
+	eng, err := design.NewEngine(WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Tiers() != "lazy-dfa" {
+		t.Fatalf("tiers = %q, want a pure lazy-dfa design", eng.Tiers())
+	}
+	fills := reg.Counter("rapid_lazydfa_cache_fills_total", "")
+	rng := rand.New(rand.NewSource(3))
+	input := make([]byte, 1<<14)
+	for i := range input {
+		input[i] = "abcx"[rng.Intn(4)]
+	}
+	run := func() uint64 {
+		t.Helper()
+		before := fills.Value()
+		if _, err := eng.Run(context.Background(), input); err != nil {
+			t.Fatal(err)
+		}
+		return fills.Value() - before
+	}
+	// Warm until a run fills nothing: the prefilter may switch itself off
+	// during the first runs, which changes the transitions a run steps.
+	for i := 0; run() != 0; i++ {
+		if i == 5 {
+			t.Fatal("the cache never settled on a repeated input")
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := run(); n != 0 {
+		t.Fatalf("the run after GC filled %d transitions; the warm cache should have survived", n)
+	}
+}
+
+// hybridANML is two sliding STE matchers, which run on the lazy DFA, next
+// to a counter component, which runs on the bitset tier. (Compiled RAPID
+// whenevers all hang off the shared record-separator STE, so they form one
+// component and cannot split.)
+const hybridANML = `<anml version="1.0"><automata-network id="hybrid">
+<state-transition-element id="a0" symbol-set="[a]" start="all-input"><activate-on-match element="a1"/></state-transition-element>
+<state-transition-element id="a1" symbol-set="[b]"><activate-on-match element="a2"/></state-transition-element>
+<state-transition-element id="a2" symbol-set="[c]"><report-on-match reportcode="0"/></state-transition-element>
+<state-transition-element id="b0" symbol-set="[b]" start="all-input"><activate-on-match element="b1"/></state-transition-element>
+<state-transition-element id="b1" symbol-set="[c]"><activate-on-match element="b2"/></state-transition-element>
+<state-transition-element id="b2" symbol-set="[a]"><report-on-match reportcode="1"/></state-transition-element>
+<state-transition-element id="c0" symbol-set="[a]" start="all-input"><activate-on-match element="cnt:cnt"/></state-transition-element>
+<state-transition-element id="c1" symbol-set="[r]" start="all-input"><activate-on-match element="cnt:rst"/></state-transition-element>
+<state-transition-element id="c2" symbol-set="[z]" start="all-input"><activate-on-match element="and"/></state-transition-element>
+<counter id="cnt" target="2" at-target="latch"><activate-on-target element="and"/></counter>
+<and id="and"><report-on-high reportcode="2"/></and>
+</automata-network></anml>`
+
+// TestEngineConcurrentHammer runs 8 goroutines of Run and RunBatchSettled
+// on one engine and checks every result against the reference simulator,
+// in the three regimes where walkers contend for the shared cache: a tiny
+// fixed cache that evicts while other walkers read, a tiny adaptive byte
+// cap under which one walker demotes the design mid-stream while the
+// others run, and a counter design whose hybrid split runs a bitset tier
+// next to the lazy one.
+func TestEngineConcurrentHammer(t *testing.T) {
+	benchCase := func(name string) (*Design, func(*rand.Rand, int) []byte) {
+		b := bench.ByName(name)
+		src, args := b.RAPID(b.DefaultInstances)
+		return mustDesign(t, src, args...), b.Input
+	}
+	cases := []struct {
+		name    string
+		design  func() (*Design, func(*rand.Rand, int) []byte)
+		opts    []Option
+		tiers   string
+		demotes bool
+	}{
+		{"evicting", func() (*Design, func(*rand.Rand, int) []byte) { return benchCase("ARM") },
+			[]Option{WithMaxCachedStates(8)}, "lazy-dfa", false},
+		{"demoting", func() (*Design, func(*rand.Rand, int) []byte) { return benchCase("Gappy") },
+			[]Option{WithMaxCacheBytes(1)}, "lazy-dfa", true},
+		{"hybrid", func() (*Design, func(*rand.Rand, int) []byte) {
+			design, err := LoadANML([]byte(hybridANML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return design, func(rng *rand.Rand, n int) []byte {
+				in := make([]byte, n)
+				for i := range in {
+					in[i] = "abcrz"[rng.Intn(5)]
+				}
+				return in
+			}
+		}, []Option{WithMaxCachedStates(4)}, "lazy-dfa+bitset", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			design, gen := tc.design()
+			reg := telemetry.NewRegistry()
+			eng, err := design.NewEngine(append(tc.opts, WithWorkers(4), WithTelemetry(reg))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Tiers() != tc.tiers {
+				t.Fatalf("tiers = %q, want %q", eng.Tiers(), tc.tiers)
+			}
+			rng := rand.New(rand.NewSource(21))
+			inputs := make([][]byte, 8)
+			want := make([][][2]int, len(inputs))
+			for i := range inputs {
+				inputs[i] = gen(rng, 2*4096+rng.Intn(4096))
+				ref, err := design.RunBytes(inputs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = reportSet(ref)
+			}
+			check := func(i int, got []Report, err error) {
+				if err != nil {
+					t.Errorf("input %d: %v", i, err)
+				} else if !reflect.DeepEqual(reportSet(got), want[i]) {
+					t.Errorf("input %d: %d reports, reference %d", i, len(reportSet(got)), len(want[i]))
+				}
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < 2; round++ {
+						i := (g + round) % len(inputs)
+						got, err := eng.Run(context.Background(), inputs[i])
+						check(i, got, err)
+						lo := (g + 3*round) % (len(inputs) - 2)
+						for k, r := range eng.RunBatchSettled(context.Background(), inputs[lo:lo+3]) {
+							check(lo+k, r.Reports, r.Err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if reg.Counter("rapid_lazydfa_cache_evictions_total", "").Value() == 0 {
+				t.Fatal("the cache never evicted; the contended path went untested")
+			}
+			demotions := reg.Counter("rapid_lazydfa_demotions_total", "").Value()
+			if tc.demotes {
+				if !eng.CacheStats().Demoted || demotions != 1 {
+					t.Fatalf("design should have demoted exactly once: demoted=%v demotions=%d", eng.CacheStats().Demoted, demotions)
+				}
+			} else if demotions != 0 {
+				t.Fatalf("a fixed cache never demotes, got %d", demotions)
+			}
+		})
 	}
 }

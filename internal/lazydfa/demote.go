@@ -11,67 +11,75 @@ import (
 // Adaptive budget controller (RE2's "is the DFA cache useless?" heuristic,
 // adapted to per-state eviction). The budget grows on demand from its
 // small initial size toward the byte-denominated cap as states intern
-// (see stateCache.intern); eviction only begins at the cap. The walker
-// calls adapt once per input chunk with the chunk length; the eviction
-// delta over that window is the thrash signal.
+// (see stateCache.intern); eviction only begins at the cap. Walkers report
+// each input chunk they finish to adapt; once the design has walked a
+// CancelCheckInterval window (summed over all walkers), the eviction delta
+// over that window is the thrash signal.
 //
 // Demotion fires when, at the cap, one eviction per demoteDenominator
 // bytes is sustained for demoteWindows consecutive windows: the working
 // set will never fit, and every cached transition is amortizing fewer
 // than demoteDenominator bytes of walking, which the NFA bitset walk
-// beats without the interning overhead. The matcher then drops the cache
-// and finishes on the bitset path, so no workload runs slower than the
-// nfa-bitset tier beyond the detection window.
+// beats without the interning overhead. The design then drops the cache
+// and every walker finishes on the bitset path, so no workload runs slower
+// than the nfa-bitset tier beyond the detection window.
 const (
 	demoteDenominator = 8
 	demoteWindows     = 4
 )
 
-// adapt inspects the eviction rate over the last window and reports
-// whether the matcher should demote now. Only called when the budget is
-// adaptive (Options.MaxCachedStates == 0).
-func (m *Matcher) adapt(window int) bool {
-	c := m.cache
-	dE := c.evictions - m.lastEvictions
-	m.lastEvictions = c.evictions
-	if dE*demoteDenominator >= window && dE > 0 {
-		m.thrashWindows++
-		return m.thrashWindows >= demoteWindows
+// adapt adds a finished chunk of window bytes to the design's window and
+// reports whether the design should demote now. Only called when the
+// budget is adaptive (Options.MaxCachedStates == 0), with cache.mu held.
+func (w *walker) adapt(window int) bool {
+	c := w.m.cache
+	c.missMu.Lock()
+	defer c.missMu.Unlock()
+	c.adaptBytes += window
+	if c.adaptBytes < automata.CancelCheckInterval {
+		return false
 	}
-	m.thrashWindows = 0
+	window, c.adaptBytes = c.adaptBytes, 0
+	dE := c.evictions - c.lastEvictions
+	c.lastEvictions = c.evictions
+	if dE*demoteDenominator >= window && dE > 0 {
+		c.thrashWindows++
+		return c.thrashWindows >= demoteWindows
+	}
+	c.thrashWindows = 0
 	return false
 }
 
-// demote flips the matcher to the NFA bitset walk permanently and releases
-// the cache's memory. The whole-cache drop is what Flushes() now counts.
-func (m *Matcher) demote() {
-	m.demoted = true
-	m.demotions++
-	m.flushes++
-	m.cache.releaseAll()
+// demote flips the design to the NFA bitset walk permanently and releases
+// the cache's memory, unless another walker got there first. The
+// whole-cache drop is what Flushes() counts. The walker must not hold
+// cache.mu; the other walkers see the flag when they next take it.
+func (w *walker) demote() {
+	c := w.m.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.demoted.Load() {
+		return
+	}
+	c.missMu.Lock()
+	c.releaseAll()
+	c.missMu.Unlock()
+	c.demoted.Store(true)
+	w.stats.Demotions++
 }
 
 // runPure walks the pure-STE components with the word-parallel bitset
 // algorithm (the same recurrence FastSimulator uses), using the compiled
-// program tables directly. It serves two callers: a demoted matcher's
-// whole runs (enabled == nil, first == true), and the mid-stream handoff
-// (enabled/first = the configuration at the demotion point, base = bytes
-// already consumed).
-func (m *Matcher) runPure(ctx context.Context, input []byte, out []Report, base int, first bool, enabled []uint64) ([]Report, error) {
-	p := m.prog
-	if m.pureEnabled == nil {
-		m.pureEnabled = make([]uint64, p.nwords)
-	}
-	cfg := m.pureEnabled
-	if enabled != nil {
-		copy(cfg, enabled)
-	} else {
-		for i := range cfg {
-			cfg[i] = 0
-		}
-	}
-	active := m.activeBuf
-	next := m.nextBuf
+// program tables directly. It continues a run from the configuration
+// (enabled, first), base bytes into the stream: the start configuration
+// for whole runs of a demoted design, or the walker's saved position at
+// the demotion point.
+func (w *walker) runPure(ctx context.Context, input []byte, out []Report, base int, first bool, enabled []uint64) ([]Report, error) {
+	p := w.m.prog
+	cfg := w.pureEnabled
+	copy(cfg, enabled)
+	active := w.activeBuf
+	next := w.nextBuf
 	for len(input) > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -85,30 +93,30 @@ func (m *Matcher) runPure(ctx context.Context, input []byte, out []Report, base 
 		for i := 0; i < len(chunk); i++ {
 			accept := p.accept[chunk[i]]
 			var anyRep uint64
-			for w := range active {
-				a := cfg[w] | p.startAll[w]
+			for j := range active {
+				a := cfg[j] | p.startAll[j]
 				if first {
-					a |= p.startData[w]
+					a |= p.startData[j]
 				}
-				a &= accept[w]
-				active[w] = a
-				anyRep |= a & p.reportBits[w]
-				next[w] = 0
+				a &= accept[j]
+				active[j] = a
+				anyRep |= a & p.reportBits[j]
+				next[j] = 0
 			}
 			first = false
-			for wi, w := range active {
-				for w != 0 {
-					id := wi*64 + bits.TrailingZeros64(w)
+			for wi, x := range active {
+				for x != 0 {
+					id := wi*64 + bits.TrailingZeros64(x)
 					for _, mw := range p.outMask[id] {
 						next[mw.word] |= mw.bits
 					}
-					w &= w - 1
+					x &= x - 1
 				}
 			}
 			if anyRep != 0 {
-				codes := m.codesBuf[:0]
-				for wi, w := range active {
-					rep := w & p.reportBits[wi]
+				codes := w.codesBuf[:0]
+				for wi, x := range active {
+					rep := x & p.reportBits[wi]
 					for rep != 0 {
 						id := wi*64 + bits.TrailingZeros64(rep)
 						codes = append(codes, p.reportCode[id])
@@ -119,7 +127,7 @@ func (m *Matcher) runPure(ctx context.Context, input []byte, out []Report, base 
 					sort.Ints(codes)
 					codes = compactInts(codes)
 				}
-				m.codesBuf = codes
+				w.codesBuf = codes
 				for _, code := range codes {
 					out = append(out, Report{Offset: base + i, Code: code})
 				}
@@ -131,6 +139,6 @@ func (m *Matcher) runPure(ctx context.Context, input []byte, out []Report, base 
 	}
 	// cfg and next may have swapped an odd number of times; keep the field
 	// assignments consistent with the final roles.
-	m.pureEnabled, m.nextBuf = cfg, next
+	w.pureEnabled, w.nextBuf = cfg, next
 	return out, nil
 }

@@ -8,6 +8,11 @@
 // itself to an NFA bitset walk mid-stream, so no input ever runs slower
 // than the nfa-bitset tier by more than the detection window.
 //
+// One Matcher holds one cache per design, shared by every goroutine that
+// runs it (RE2's DFA layout): warm transitions are lock-free loads, so the
+// states one stream discovers serve every later stream, on any goroutine,
+// for as long as the Matcher lives.
+//
 // Three mechanisms carry the throughput:
 //
 //   - Transition rows are indexed by symbol equivalence group, not by raw
@@ -40,6 +45,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/automata"
 )
@@ -54,9 +61,9 @@ type Report struct {
 
 // Options bound the engine's memory use and select its heuristics.
 type Options struct {
-	// MaxCachedStates, when positive, fixes the state cache at exactly
-	// this many states: eviction still runs per state, but the adaptive
-	// budget controller and the mid-stream demotion heuristic are
+	// MaxCachedStates, when positive, fixes the design's state cache at
+	// exactly this many states: eviction still runs per state, but the
+	// adaptive budget controller and the mid-stream demotion heuristic are
 	// disabled, which makes execution deterministic for tests and for the
 	// rapidbench -lazy-cache sweep. Values below 2 are raised to 2 (the
 	// minimum needed to hold a state and its successor). Zero or negative
@@ -65,9 +72,10 @@ type Options struct {
 
 	// MaxCacheBytes caps the adaptive budget's memory, denominated in
 	// estimated bytes of cache (rows, keys, configurations, in-edge
-	// records). The cap in states is derived per design from its word and
-	// group counts. Default DefaultMaxCacheBytes. Ignored when
-	// MaxCachedStates is positive.
+	// records). The cap bounds the design's one shared cache, whatever the
+	// number of goroutines running it; the cap in states is derived per
+	// design from its word and group counts. Default DefaultMaxCacheBytes.
+	// Ignored when MaxCachedStates is positive.
 	MaxCacheBytes int64
 
 	// InitialCachedStates is the adaptive budget's starting size; the
@@ -83,10 +91,11 @@ type Options struct {
 }
 
 const (
-	// DefaultMaxCacheBytes bounds the adaptive state cache at 64 MiB per
-	// matcher. The paper workloads' largest observed working sets (Brill
-	// and Gappy, ~37k states each) fit with room to spare; servers fanning
-	// a design across many workers can lower it with WithMaxCacheBytes.
+	// DefaultMaxCacheBytes bounds a design's adaptive state cache at
+	// 64 MiB. The cache is shared by every goroutine running the design,
+	// so the bound holds per design at any worker count. The paper
+	// workloads' largest observed working sets (Brill and Gappy, ~37k
+	// states each) fit with room to spare.
 	DefaultMaxCacheBytes = 64 << 20
 
 	// DefaultInitialCachedStates is the adaptive budget's starting size.
@@ -126,38 +135,78 @@ func (o *Options) withDefaults() options {
 	return out
 }
 
-// Matcher executes one design. It owns mutable state (the DFA cache and,
-// for hybrid designs, a bitset simulator) and is not safe for concurrent
-// use; Clone gives each goroutine an independent matcher sharing the
-// immutable compiled tables.
+// Stats counts one run's lazy-tier cache activity. Each run returns its
+// own counts, so callers running one Matcher from many goroutines can
+// attribute them exactly.
+type Stats struct {
+	// Fills is the number of transitions the run materialized on a cache
+	// miss (one per (state, symbol-group) cell filled).
+	Fills int
+	// Evictions is the number of states the run evicted to make room.
+	Evictions int
+	// Demotions is 1 when the run demoted the design to the NFA bitset
+	// walk, else 0.
+	Demotions int
+	// PrefilterSkipped is the number of input bytes the rest-state
+	// prefilter skipped with vector scans instead of stepping.
+	PrefilterSkipped int
+}
+
+// Matcher executes one design and is safe for concurrent use. All runs
+// share the design's one DFA cache and its learned heuristics (the
+// adaptive budget, the demotion decision, the prefilter verdict); each run
+// borrows only cheap scratch — bitsets, a report-code buffer and, for
+// hybrid designs, a bitset-simulator clone — from an internal pool.
 type Matcher struct {
 	prog *program                // lazy tier (nil when every component has specials)
-	sim  *automata.FastSimulator // bitset tier (nil for counter-free designs)
+	sim  *automata.FastSimulator // bitset tier prototype (nil for counter-free designs)
 
-	cache     *stateCache
-	activeBuf []uint64
-	nextBuf   []uint64
-	codesBuf  []int
+	cache    *stateCache
+	adaptive bool
 
-	// Prefilter state. prefilter starts true when the design has usable
-	// facts and flips off permanently when measured dead runs are too
-	// short to pay for the scan.
-	prefilter     bool
-	liveBytes     []byte
+	// prefilter starts true when the design has usable facts and flips
+	// off permanently when measured dead runs are too short to pay for
+	// the scan.
+	prefilter atomic.Bool
+	liveBytes []byte
+
+	walkers sync.Pool // *walker
+
+	// Lifetime totals of the runs' Stats.
+	fills     atomic.Int64
+	evictions atomic.Int64
+	demotions atomic.Int64
+	skipped   atomic.Int64
+}
+
+// walker is one run's scratch. Between runs it waits in the Matcher's
+// pool; losing it to a GC costs a few small allocations, never the cache.
+type walker struct {
+	m *Matcher
+
+	activeBuf   []uint64
+	nextBuf     []uint64
+	config      []uint64 // a missed state's configuration, decoded
+	codesBuf    []int
+	pureEnabled []uint64
+	sim         *automata.FastSimulator
+
+	// excl records whether the walker holds cache.mu exclusively (else
+	// shared) while it walks.
+	excl bool
+	// The saved position: the configuration of the walker's current state
+	// when it last let go of cache.mu, and the slot and generation it had,
+	// so resume can revalidate the slot or re-intern the configuration.
+	saved      []uint64
+	savedFirst bool
+	savedID    int32
+	savedGen   uint32
+
+	// Prefilter payoff window; the verdict it reaches is the design's.
 	skipWindowN   int
 	skipWindowLen int
 
-	// Adaptive budget / demotion state.
-	adaptive      bool
-	lastEvictions int
-	thrashWindows int
-	demoted       bool
-	pureEnabled   []uint64
-
-	fills     int
-	flushes   int
-	demotions int
-	skipped   int
+	stats Stats
 }
 
 // New freezes the network (validating it), splits its topology into the
@@ -174,13 +223,11 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	m := &Matcher{}
 	if pure != nil {
 		m.prog = compile(pure)
-		m.activeBuf = make([]uint64, m.prog.nwords)
-		m.nextBuf = make([]uint64, m.prog.nwords)
 		max, limit, adaptive := cacheBudget(o, m.prog)
 		m.adaptive = adaptive
 		m.cache = newStateCache(m.prog, max, limit)
 		if !o.disablePrefilter && m.prog.hasFacts && len(m.prog.liveBytes) <= maxPrefilterBytes {
-			m.prefilter = true
+			m.prefilter.Store(true)
 			m.liveBytes = m.prog.liveBytes
 		}
 	}
@@ -190,7 +237,23 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	if m.prog == nil && m.sim == nil {
 		return nil, fmt.Errorf("lazydfa: design has no live components")
 	}
+	m.walkers.New = func() any { return m.newWalker() }
 	return m, nil
+}
+
+func (m *Matcher) newWalker() *walker {
+	w := &walker{m: m}
+	if p := m.prog; p != nil {
+		w.activeBuf = make([]uint64, p.nwords)
+		w.nextBuf = make([]uint64, p.nwords)
+		w.config = make([]uint64, p.nwords)
+		w.pureEnabled = make([]uint64, p.nwords)
+		w.saved = make([]uint64, p.nwords)
+	}
+	if m.sim != nil {
+		w.sim = m.sim.Clone()
+	}
+	return w
 }
 
 // cacheBudget resolves the options into the cache's starting budget and
@@ -220,30 +283,6 @@ func cacheBudget(o options, p *program) (max, limit int, adaptive bool) {
 	return max, limit, true
 }
 
-// Clone returns an independent matcher sharing the immutable compiled
-// tables but owning a fresh (empty) DFA cache and simulator state, so a
-// server can fan one design out across goroutines. Learned heuristic
-// state carries over: the clone inherits the parent's grown cache budget,
-// its demotion decision, and its prefilter enable/disable verdict.
-func (m *Matcher) Clone() *Matcher {
-	c := &Matcher{
-		prog:      m.prog,
-		adaptive:  m.adaptive,
-		demoted:   m.demoted,
-		prefilter: m.prefilter,
-		liveBytes: m.liveBytes,
-	}
-	if m.prog != nil {
-		c.activeBuf = make([]uint64, m.prog.nwords)
-		c.nextBuf = make([]uint64, m.prog.nwords)
-		c.cache = newStateCache(m.prog, m.cache.max, m.cache.limit)
-	}
-	if m.sim != nil {
-		c.sim = m.sim.Clone()
-	}
-	return c
-}
-
 // HasLazyTier reports whether any component runs on the lazy DFA.
 func (m *Matcher) HasLazyTier() bool { return m.prog != nil }
 
@@ -257,7 +296,18 @@ func (m *Matcher) CachedStates() int {
 	if m.cache == nil {
 		return 0
 	}
-	return len(m.cache.meta)
+	m.cache.missMu.Lock()
+	defer m.cache.missMu.Unlock()
+	return m.cache.n
+}
+
+// CacheBytes estimates the design's cache memory: interned states times
+// the per-state estimate MaxCacheBytes is denominated in.
+func (m *Matcher) CacheBytes() int64 {
+	if m.cache == nil {
+		return 0
+	}
+	return int64(m.CachedStates()) * int64(m.prog.stateBytes)
 }
 
 // CacheBudget returns the cache's current state budget — the fixed
@@ -266,46 +316,42 @@ func (m *Matcher) CacheBudget() int {
 	if m.cache == nil {
 		return 0
 	}
+	m.cache.missMu.Lock()
+	defer m.cache.missMu.Unlock()
 	return m.cache.max
 }
 
-// Fills returns how many transitions the matcher has materialized on
-// cache misses (one per (state, symbol-group) cell filled). Together with
-// Evictions it is the cache-efficiency signal the telemetry layer
-// surfaces.
-func (m *Matcher) Fills() int { return m.fills }
+// Fills returns how many transitions all runs have materialized on cache
+// misses. Together with Evictions it is the cache-efficiency signal the
+// telemetry layer surfaces.
+func (m *Matcher) Fills() int { return int(m.fills.Load()) }
 
 // Flushes returns how many times the whole state cache was dropped. Under
-// per-state eviction this no longer happens on capacity pressure; the only
-// remaining whole-cache drop is the one performed by demotion, when the
-// DFA gives the memory back before switching to the bitset walk.
-func (m *Matcher) Flushes() int { return m.flushes }
+// per-state eviction this never happens on capacity pressure; the only
+// whole-cache drop is the one performed by demotion, when the DFA gives
+// the memory back before switching to the bitset walk.
+func (m *Matcher) Flushes() int { return m.Demotions() }
 
 // Evictions returns how many single states the cache has evicted to make
 // room.
-func (m *Matcher) Evictions() int {
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.evictions
-}
+func (m *Matcher) Evictions() int { return int(m.evictions.Load()) }
 
 // PrefilterSkipped returns how many input bytes the rest-state prefilter
 // skipped with vector scans instead of stepping.
-func (m *Matcher) PrefilterSkipped() int { return m.skipped }
+func (m *Matcher) PrefilterSkipped() int { return int(m.skipped.Load()) }
 
-// Demotions returns how many times the matcher demoted its lazy tier to
+// Demotions returns how many times the design demoted its lazy tier to
 // the NFA bitset walk (at most once — demotion is sticky).
-func (m *Matcher) Demotions() int { return m.demotions }
+func (m *Matcher) Demotions() int { return int(m.demotions.Load()) }
 
 // Demoted reports whether the lazy tier has demoted itself to the NFA
 // bitset walk.
-func (m *Matcher) Demoted() bool { return m.demoted }
+func (m *Matcher) Demoted() bool { return m.cache != nil && m.cache.demoted.Load() }
 
 // Run executes the design over one input stream and returns the merged
 // report events in (offset, code) order.
 func (m *Matcher) Run(input []byte) []Report {
-	out, _ := m.run(nil, input, nil)
+	out, _, _ := m.run(nil, input, nil)
 	return out
 }
 
@@ -313,31 +359,46 @@ func (m *Matcher) Run(input []byte) []Report {
 // chunks and the run aborts with ctx.Err() once ctx is done, returning the
 // reports produced so far.
 func (m *Matcher) RunContext(ctx context.Context, input []byte) ([]Report, error) {
-	return m.run(ctx, input, nil)
+	out, _, err := m.run(ctx, input, nil)
+	return out, err
 }
 
 // RunAppend is RunContext appending into dst (which may be nil), letting
-// callers recycle report buffers across streams.
-func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]Report, error) {
+// callers recycle report buffers across streams. It also returns the
+// run's own cache activity.
+func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]Report, Stats, error) {
 	return m.run(ctx, input, dst)
 }
 
-func (m *Matcher) run(ctx context.Context, input []byte, out []Report) ([]Report, error) {
+func (m *Matcher) run(ctx context.Context, input []byte, out []Report) ([]Report, Stats, error) {
+	w := m.walkers.Get().(*walker)
+	defer m.walkers.Put(w)
+	w.stats = Stats{}
+	out, err := w.run(ctx, input, out)
+	st := w.stats
+	m.fills.Add(int64(st.Fills))
+	m.evictions.Add(int64(st.Evictions))
+	m.demotions.Add(int64(st.Demotions))
+	m.skipped.Add(int64(st.PrefilterSkipped))
+	return out, st, err
+}
+
+func (w *walker) run(ctx context.Context, input []byte, out []Report) ([]Report, error) {
 	base := len(out)
-	if m.prog != nil {
+	if w.m.prog != nil {
 		var err error
-		out, err = m.runLazy(ctx, input, out)
+		out, err = w.runLazy(ctx, input, out)
 		if err != nil {
 			return out, err
 		}
 	}
-	if m.sim != nil {
+	if w.sim != nil {
 		var raw []automata.Report
 		var err error
 		if ctx == nil {
-			raw = m.sim.Run(input)
+			raw = w.sim.Run(input)
 		} else {
-			raw, err = m.sim.RunContext(ctx, input)
+			raw, err = w.sim.RunContext(ctx, input)
 		}
 		for _, r := range raw {
 			out = append(out, Report{Offset: r.Offset, Code: r.Code})
@@ -372,17 +433,36 @@ func isCanonical(rs []Report) bool {
 // demand. The per-symbol fast path is a single data-dependent load: the
 // group-indexed row cell carries the successor id and a has-reports flag
 // in one int32.
-func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
-	if m.demoted {
-		return m.runPure(ctx, input, out, 0, true, nil)
+//
+// The walker holds cache.mu shared for each CancelCheckInterval chunk, so
+// eviction and demotion, which need it exclusively, wait at most one chunk
+// per walker. A miss the cache has no room for takes mu exclusively for
+// the rest of its chunk. Whenever the walker lets go of mu it saves its
+// configuration, and on taking mu back it revalidates its state's slot by
+// generation, re-interning the configuration if the slot was evicted.
+func (w *walker) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
+	if len(input) == 0 {
+		return out, nil
 	}
-	p := m.prog
-	c := m.cache
-	cur := m.startState()
+	m, p, c := w.m, w.m.prog, w.m.cache
+	ng := c.ngroups
+
+	// Start from the start-of-data configuration: no enables, first
+	// symbol pending. The cache is kept warm across runs, so resume is a
+	// map hit on every stream after the first.
+	clear(w.saved)
+	w.savedFirst, w.savedID = true, -1
+	c.mu.RLock()
+	w.excl = false
+	cur, ok := w.resume()
+	if !ok {
+		return w.handoff(ctx, input, out, 0)
+	}
 	base := 0
-	for len(input) > 0 {
+	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
+				w.unlock()
 				return out, err
 			}
 		}
@@ -390,119 +470,231 @@ func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Re
 		if len(chunk) > automata.CancelCheckInterval {
 			chunk = chunk[:automata.CancelCheckInterval]
 		}
-		rest := int32(-1) // cur is never negative, so -1 disables the check
-		if m.prefilter {
-			rest = c.restID
-		}
+		rows := c.rows
+		rest := w.restID()
 		for i := 0; i < len(chunk); i++ {
+			if i, cur = walkWarm(rows, &p.groupOf, ng, chunk, i, cur, rest); i == len(chunk) {
+				break
+			}
 			if cur == rest {
-				if n := m.skipDead(chunk[i:]); n > 0 {
-					m.skipped += n
+				if n := w.skipDead(chunk[i:]); n > 0 {
+					w.stats.PrefilterSkipped += n
 					i += n
 					if i >= len(chunk) {
 						break
 					}
 				}
-				if !m.prefilter {
-					rest = -1
-				}
+				rest = w.restID()
 			}
-			sym := chunk[i]
-			g := int(p.groupOf[sym])
-			v := c.rows[int(cur)*c.ngroups+g]
+			g := int(p.groupOf[chunk[i]])
+			v := atomic.LoadInt32(&rows[int(cur)*ng+g])
 			if v < 0 {
-				v = m.miss(cur, g, sym)
-				rest = -1
-				if m.prefilter {
-					rest = c.restID
+				if cur, v, ok = w.fill(cur, g, chunk[i]); !ok {
+					return w.handoff(ctx, input[i:], out, base+i)
 				}
+				rows = c.rows
+				rest = w.restID()
 			}
 			if v&cellReport != 0 {
-				for _, gc := range c.meta[cur].reps {
-					if gc.group == int32(g) {
-						for _, code := range gc.codes {
-							out = append(out, Report{Offset: base + i, Code: code})
-						}
-						break
-					}
+				for _, code := range c.meta[cur].codesFor(int32(g)) {
+					out = append(out, Report{Offset: base + i, Code: code})
 				}
 			}
 			cur = v & cellIDMask
 		}
 		base += len(chunk)
 		input = input[len(chunk):]
-		if m.adaptive && m.adapt(len(chunk)) {
-			// Demote: carry the live NFA configuration into the bitset
-			// walk and give the cache memory back.
-			st := c.meta[cur]
-			enabled := append([]uint64(nil), st.enabled...)
-			first := st.first
-			m.demote()
-			return m.runPure(ctx, input, out, base, first, enabled)
+		w.save(cur)
+		demote := m.adaptive && w.adapt(len(chunk))
+		w.unlock()
+		if demote {
+			// Carry the live NFA configuration into the bitset walk; the
+			// cache memory goes back with the demotion.
+			w.demote()
+			return w.runPure(ctx, input, out, base, w.savedFirst, w.saved)
+		}
+		if len(input) == 0 {
+			return out, nil
+		}
+		c.mu.RLock()
+		w.excl = false
+		if cur, ok = w.resume(); !ok {
+			return w.handoff(ctx, input, out, base)
 		}
 	}
-	return out, nil
 }
 
-// startState interns the start-of-data configuration (no enables, first
-// symbol pending). The cache is kept warm across runs, so this is a map
-// hit on every stream after the first.
-func (m *Matcher) startState() int32 {
-	for i := range m.nextBuf {
-		m.nextBuf[i] = 0
+// fill handles a miss on (cur, g): it materializes the cell, taking
+// cache.mu exclusively first when the cache has no room without growth or
+// eviction. It returns the state the walker is now at (cur, or its
+// configuration re-interned after the exclusive hand-over) and the cell
+// value, or false when the design was demoted during the hand-over.
+func (w *walker) fill(cur int32, g int, sym byte) (int32, int32, bool) {
+	if v, ok := w.miss(cur, g, sym); ok {
+		return cur, v, true
 	}
-	return m.cache.intern(m.nextBuf, true, -1)
+	w.save(cur)
+	w.lockExclusive()
+	cur, ok := w.resume()
+	if !ok {
+		return -1, 0, false
+	}
+	v, _ := w.miss(cur, g, sym)
+	return cur, v, true
+}
+
+// walkWarm advances cur over chunk from i through filled, report-free
+// cells and returns the first position that needs runLazy's general path
+// — the prefilter's rest state, an unfilled cell or a reporting one — with
+// the state there, or len(chunk) once the chunk runs out. Its loop holds
+// no calls, so the warm walk stays in registers.
+func walkWarm(rows []int32, groupOf *[256]uint8, ng int, chunk []byte, i int, cur, rest int32) (int, int32) {
+	for ; i < len(chunk) && cur != rest; i++ {
+		v := atomic.LoadInt32(&rows[int(cur)*ng+int(groupOf[chunk[i]])])
+		if uint32(v) >= uint32(cellReport) { // unfilled (negative) or reporting
+			break
+		}
+		cur = v
+	}
+	return i, cur
+}
+
+// save records cur's configuration, slot and generation as the walker's
+// saved position, before the walker lets go of cache.mu.
+func (w *walker) save(cur int32) {
+	st := w.m.cache.meta[cur]
+	w.savedFirst = decodeConfigKey(w.saved, st.key)
+	w.savedID = cur
+	w.savedGen = st.gen
+}
+
+// resume returns the state of the saved position, the walker holding
+// cache.mu: the saved slot when it still holds the configuration,
+// otherwise the configuration re-interned — taking mu exclusively when
+// that needs an eviction. It reports false when the design was demoted
+// while the walker did not hold mu.
+func (w *walker) resume() (int32, bool) {
+	c := w.m.cache
+	for {
+		if c.demoted.Load() {
+			return -1, false
+		}
+		if w.savedID >= 0 {
+			if st := c.meta[w.savedID]; st.gen == w.savedGen {
+				return w.savedID, true
+			}
+		}
+		c.missMu.Lock()
+		e0 := c.evictions
+		id, ok := c.intern(w.saved, w.savedFirst, -1, w.excl)
+		w.stats.Evictions += c.evictions - e0
+		c.missMu.Unlock()
+		if ok {
+			return id, true
+		}
+		w.lockExclusive()
+	}
+}
+
+// lockExclusive trades the walker's shared hold on cache.mu for an
+// exclusive one. Other walkers may run structural operations in between,
+// so the caller saves its position first and resumes after.
+func (w *walker) lockExclusive() {
+	w.m.cache.mu.RUnlock()
+	w.m.cache.mu.Lock()
+	w.excl = true
+}
+
+func (w *walker) unlock() {
+	if w.excl {
+		w.m.cache.mu.Unlock()
+	} else {
+		w.m.cache.mu.RUnlock()
+	}
+}
+
+// handoff finishes a run whose design another walker demoted: it lets go
+// of cache.mu and continues on the bitset walk from the saved position,
+// base bytes into the stream.
+func (w *walker) handoff(ctx context.Context, input []byte, out []Report, base int) ([]Report, error) {
+	w.unlock()
+	return w.runPure(ctx, input, out, base, w.savedFirst, w.saved)
+}
+
+// restID returns the state id the hot loop compares against to enter the
+// prefilter skip: the rest configuration's slot, or -1 (never a state id)
+// when the prefilter is off or the rest state is not interned.
+func (w *walker) restID() int32 {
+	if !w.m.prefilter.Load() {
+		return -1
+	}
+	return w.m.cache.restID.Load()
 }
 
 // miss materializes the transition of state cur on symbol sym's
 // equivalence group: it steps the NFA configuration, interns the successor
 // (possibly evicting one cold state — never cur, which is pinned), fills
 // the row cell, and records the in-edge so eviction of the successor can
-// repair the cell lazily.
-func (m *Matcher) miss(cur int32, g int, sym byte) int32 {
-	m.fills++
-	c := m.cache
+// repair the cell lazily. The step runs before missMu is taken; if another
+// walker filled the cell meanwhile, its value wins. miss reports false
+// when the successor needs a slot the cache can only free by eviction and
+// the walker holds cache.mu only shared.
+func (w *walker) miss(cur int32, g int, sym byte) (int32, bool) {
+	c := w.m.cache
 	st := c.meta[cur]
-	next, codes := m.step(st.enabled, st.first, sym)
-	succ := c.intern(next, false, cur)
+	first := decodeConfigKey(w.config, st.key)
+	next, codes := w.step(w.config, first, sym)
+	c.missMu.Lock()
+	defer c.missMu.Unlock()
+	cell := &c.row(cur)[g]
+	if v := atomic.LoadInt32(cell); v >= 0 {
+		return v, true
+	}
+	e0 := c.evictions
+	succ, ok := c.intern(next, false, cur, w.excl)
+	if !ok {
+		return 0, false
+	}
+	w.stats.Evictions += c.evictions - e0
+	w.stats.Fills++
 	v := succ
 	if len(codes) > 0 {
 		v |= cellReport
-		c.meta[cur].setCodes(int32(g), codes)
+		st.setCodes(int32(g), codes)
 	}
-	c.rows[int(cur)*c.ngroups+g] = v
 	c.noteInEdge(succ, cur, int32(g))
-	c.meta[cur].ref = true
-	return v
+	st.ref = true
+	atomic.StoreInt32(cell, v)
+	return v, true
 }
 
 // step computes the successor configuration and report codes of the
 // configuration (enabled, first) on sym. Both returned slices alias the
-// matcher's scratch buffers and must be copied before retention.
-func (m *Matcher) step(enabled []uint64, first bool, sym byte) ([]uint64, []int) {
-	p := m.prog
+// walker's scratch buffers and must be copied before retention.
+func (w *walker) step(enabled []uint64, first bool, sym byte) ([]uint64, []int) {
+	p := w.m.prog
 	accept := p.accept[sym]
-	active := m.activeBuf
+	active := w.activeBuf
 	for i := range active {
-		w := enabled[i] | p.startAll[i]
+		x := enabled[i] | p.startAll[i]
 		if first {
-			w |= p.startData[i]
+			x |= p.startData[i]
 		}
-		active[i] = w & accept[i]
+		active[i] = x & accept[i]
 	}
-	next := m.nextBuf
+	next := w.nextBuf
 	for i := range next {
 		next[i] = 0
 	}
-	codes := m.codesBuf[:0]
-	for wi, w := range active {
-		rep := w & p.reportBits[wi]
-		for w != 0 {
-			id := wi*64 + bits.TrailingZeros64(w)
+	codes := w.codesBuf[:0]
+	for wi, x := range active {
+		rep := x & p.reportBits[wi]
+		for x != 0 {
+			id := wi*64 + bits.TrailingZeros64(x)
 			for _, mw := range p.outMask[id] {
 				next[mw.word] |= mw.bits
 			}
-			w &= w - 1
+			x &= x - 1
 		}
 		for rep != 0 {
 			id := wi*64 + bits.TrailingZeros64(rep)
@@ -514,39 +706,40 @@ func (m *Matcher) step(enabled []uint64, first bool, sym byte) ([]uint64, []int)
 		sort.Ints(codes)
 		codes = compactInts(codes)
 	}
-	m.codesBuf = codes
+	w.codesBuf = codes
 	return next, codes
 }
 
 // skipDead scans s for the first byte that can advance the rest
 // configuration and returns the count of dead bytes before it (possibly
 // the whole of s). With an empty live set the rest configuration is dead
-// and the entire remainder is skipped. The scan keeps its own payoff
-// statistics and permanently disables the prefilter when the average dead
-// run is too short to amortize the vector scan.
-func (m *Matcher) skipDead(s []byte) int {
+// and the entire remainder is skipped. The walker keeps payoff statistics
+// and disables the design's prefilter for good when the average dead run
+// is too short to amortize the vector scan.
+func (w *walker) skipDead(s []byte) int {
+	live := w.m.liveBytes
 	n := len(s)
-	switch len(m.liveBytes) {
+	switch len(live) {
 	case 0:
 		return n
 	case 1:
-		if j := bytes.IndexByte(s, m.liveBytes[0]); j >= 0 {
+		if j := bytes.IndexByte(s, live[0]); j >= 0 {
 			n = j
 		}
 	default:
-		for _, b := range m.liveBytes {
+		for _, b := range live {
 			if j := bytes.IndexByte(s[:n], b); j >= 0 {
 				n = j
 			}
 		}
 	}
-	m.skipWindowN++
-	m.skipWindowLen += n
-	if m.skipWindowN == 64 {
-		if m.skipWindowLen < 64*8 {
-			m.prefilter = false
+	w.skipWindowN++
+	w.skipWindowLen += n
+	if w.skipWindowN == 64 {
+		if w.skipWindowLen < 64*8 {
+			w.m.prefilter.Store(false)
 		}
-		m.skipWindowN, m.skipWindowLen = 0, 0
+		w.skipWindowN, w.skipWindowLen = 0, 0
 	}
 	return n
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/automata"
@@ -243,9 +244,33 @@ func TestDemotion(t *testing.T) {
 	if m.Demotions() != 1 {
 		t.Fatalf("demotion must be sticky, fired %d times", m.Demotions())
 	}
-	// Clones inherit the demotion verdict.
-	if c := m.Clone(); !c.Demoted() {
-		t.Fatal("clone should inherit demotion")
+	// Demotion is per design: runs on other goroutines share the verdict
+	// and go straight to the bitset walk, while a separately built matcher
+	// of the same network starts on the DFA.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, st, err := m.RunAppend(context.Background(), input[:1<<12], nil)
+			if err != nil || st.Fills != 0 || st.Demotions != 0 {
+				t.Errorf("run after demotion: err=%v stats=%+v, want no fills and no new demotion", err, st)
+			}
+			if want := simSet(sim.Clone().Run(input[:1<<12])); !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent post-demotion run diverged")
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Demotions() != 1 {
+		t.Fatalf("demotion must be sticky, fired %d times", m.Demotions())
+	}
+	fresh, err := New(n, &Options{MaxCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Demoted() {
+		t.Fatal("a new matcher must not inherit another design's demotion")
 	}
 }
 
@@ -363,23 +388,42 @@ func TestHybridTiers(t *testing.T) {
 	}
 }
 
-// TestCloneIndependent checks clones share tables but not mutable state.
-func TestCloneIndependent(t *testing.T) {
+// TestRunsShareCache checks every run of a matcher, on any goroutine,
+// walks the one cache: after one warm-up run, the same input run from
+// other goroutines fills nothing and reports identically. The prefilter
+// is off because its verdict may flip between runs, changing which
+// transitions a run steps through.
+func TestRunsShareCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := randomNetwork(rng)
-	m, err := New(n, nil)
+	m, err := New(n, &Options{DisablePrefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := randomInput(rng, 64)
 	want := m.Run(input)
-	c := m.Clone()
-	if c.CachedStates() != 0 && c.HasLazyTier() {
-		t.Fatal("clone should start with an empty cache")
+	states := m.CachedStates()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, st, err := m.RunAppend(context.Background(), input, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st.Fills != 0 {
+				t.Errorf("warm run on another goroutine filled %d transitions", st.Fills)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent run diverged: %v != %v", got, want)
+			}
+		}()
 	}
-	got := c.Run(input)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("clone diverged: %v != %v", got, want)
+	wg.Wait()
+	if m.CachedStates() != states {
+		t.Fatalf("warm runs grew the cache: %d -> %d", states, m.CachedStates())
 	}
 }
 

@@ -119,3 +119,14 @@ func appendConfigKey(buf []byte, enabled []uint64, first bool) []byte {
 	}
 	return buf
 }
+
+// decodeConfigKey recovers a configuration from its key: the enable
+// bitset into enabled (len nwords) and the first-symbol flag.
+func decodeConfigKey(enabled []uint64, key string) (first bool) {
+	for i := range enabled {
+		k := key[1+8*i : 9+8*i]
+		enabled[i] = uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24 |
+			uint64(k[4])<<32 | uint64(k[5])<<40 | uint64(k[6])<<48 | uint64(k[7])<<56
+	}
+	return key[0] == 1
+}

@@ -51,6 +51,24 @@ type DesignInfo struct {
 	// Tiers describes the engine's execution split in engine mode, or the
 	// failover ladder in failover mode.
 	Tiers string `json:"tiers,omitempty"`
+	// In engine mode, a live view of the design's one lazy-DFA cache,
+	// shared by all its workers: interned states, their estimated bytes
+	// (the units of the engine's cache cap) and whether the design
+	// demoted to the NFA bitset walk. Omitted while zero.
+	CacheStates int   `json:"cache_states,omitempty"`
+	CacheBytes  int64 `json:"cache_bytes,omitempty"`
+	Demoted     bool  `json:"demoted,omitempty"`
+}
+
+// liveInfo returns the design's description with the engine's cache state
+// read now.
+func (d *design) liveInfo() DesignInfo {
+	info := d.info
+	if d.engine != nil {
+		cs := d.engine.CacheStats()
+		info.CacheStates, info.CacheBytes, info.Demoted = cs.States, cs.Bytes, cs.Demoted
+	}
+	return info
 }
 
 // design is one mounted design: its compiled artifact, executor, bounded

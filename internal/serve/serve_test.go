@@ -591,3 +591,62 @@ func TestMatchIdempotencyHeaders(t *testing.T) {
 		t.Fatal("refusal carries idempotency headers; a gateway could cache an error")
 	}
 }
+
+// TestDesignsCacheState checks GET /v1/designs reports an engine-mode
+// design's shared lazy-DFA cache live: empty before any request, holding
+// states and bytes after one, and absent for non-engine modes.
+func TestDesignsCacheState(t *testing.T) {
+	s := mustNew(t, Config{})
+	for _, backend := range []string{BackendEngine, BackendFailover} {
+		if _, err := s.AddDesign(testSpec(backend, backend)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}()
+	designs := func() map[string]map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/designs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list []map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]map[string]any{}
+		for _, d := range list {
+			out[d["name"].(string)] = d
+		}
+		return out
+	}
+	if _, ok := designs()[BackendEngine]["cache_states"]; ok {
+		t.Fatal("cache_states reported before the engine ran")
+	}
+	for _, name := range []string{BackendEngine, BackendFailover} {
+		if resp, _ := postMatch(t, ts.URL, matchRequest{Design: name, Text: "xxabcdxxabcx"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, resp.StatusCode)
+		}
+	}
+	got := designs()
+	eng := got[BackendEngine]
+	states, _ := eng["cache_states"].(float64)
+	nbytes, _ := eng["cache_bytes"].(float64)
+	if states <= 0 || nbytes <= 0 {
+		t.Fatalf("engine design after a match: cache_states=%v cache_bytes=%v, want both positive", eng["cache_states"], eng["cache_bytes"])
+	}
+	if _, ok := eng["demoted"]; ok {
+		t.Fatal("a small design should not have demoted")
+	}
+	for _, key := range []string{"cache_states", "cache_bytes", "demoted"} {
+		if _, ok := got[BackendFailover][key]; ok {
+			t.Fatalf("failover design reports %s; cache state is engine-mode only", key)
+		}
+	}
+}

@@ -223,7 +223,7 @@ func (s *Server) Designs() []DesignInfo {
 	defer s.mu.Unlock()
 	out := make([]DesignInfo, 0, len(s.order))
 	for _, name := range s.order {
-		out = append(out, s.designs[name].info)
+		out = append(out, s.designs[name].liveInfo())
 	}
 	return out
 }

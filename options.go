@@ -36,9 +36,10 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithMaxCachedStates fixes each lazy-DFA matcher's state cache at exactly
-// n states; a full cache evicts one cold state at a time (second-chance
-// clock), so memory stays bounded without aborting. Fixing the size also
+// WithMaxCachedStates fixes the design's lazy-DFA state cache — one per
+// design, shared by all its workers — at exactly n states; a full cache
+// evicts one cold state at a time (second-chance clock), so memory stays
+// bounded without aborting. Fixing the size also
 // disables the adaptive budget controller and mid-stream demotion, making
 // execution deterministic. Values <= 0 (the default) select the adaptive
 // budget: the cache starts small and grows toward the WithMaxCacheBytes
@@ -48,10 +49,11 @@ func WithMaxCachedStates(n int) Option {
 }
 
 // WithMaxCacheBytes caps the adaptive lazy-DFA cache budget in estimated
-// bytes per matcher (default lazydfa.DefaultMaxCacheBytes, 64 MiB). When a
-// design's working set cannot fit even at this cap and eviction churn
-// stays high, the matcher demotes itself to the NFA bitset walk. Ignored
-// when WithMaxCachedStates fixes the size.
+// bytes per design (default lazydfa.DefaultMaxCacheBytes, 64 MiB): the
+// design's one cache is shared by all its workers, so the cap holds at
+// any worker count. When a design's working set cannot fit even at this
+// cap and eviction churn stays high, the design demotes itself to the NFA
+// bitset walk. Ignored when WithMaxCachedStates fixes the size.
 func WithMaxCacheBytes(n int64) Option {
 	return func(c *config) { c.maxCacheBytes = n }
 }

@@ -285,6 +285,10 @@ type DesignInfo struct {
 	Gates     int    `json:"gates"`
 	Reporting int    `json:"reporting"`
 	Tiers     string `json:"tiers"`
+	// Engine-mode lazy-DFA cache state, read live by the server.
+	CacheStates int   `json:"cache_states"`
+	CacheBytes  int64 `json:"cache_bytes"`
+	Demoted     bool  `json:"demoted"`
 }
 
 // Designs lists the server's mounted designs.
