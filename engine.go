@@ -48,7 +48,6 @@ type engineMetrics struct {
 	queueDepth       *telemetry.Gauge
 	batches          *telemetry.Counter
 	cacheFills       *telemetry.Counter
-	cacheFlushes     *telemetry.Counter
 	cacheEvictions   *telemetry.Counter
 	prefilterSkipped *telemetry.Counter
 	demotions        *telemetry.Counter
@@ -70,8 +69,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"RunBatch/RunRecords invocations."),
 		cacheFills: reg.Counter("rapid_lazydfa_cache_fills_total",
 			"Lazy-DFA transitions materialized on cache miss."),
-		cacheFlushes: reg.Counter("rapid_lazydfa_cache_flushes_total",
-			"Lazy-DFA whole-cache drops (now only the one performed by demotion)."),
 		cacheEvictions: reg.Counter("rapid_lazydfa_cache_evictions_total",
 			"Lazy-DFA single states evicted by the second-chance clock."),
 		prefilterSkipped: reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
@@ -179,7 +176,6 @@ func (e *Engine) Run(ctx context.Context, input []byte) ([]Report, error) {
 	if e.tel != nil {
 		e.tel.bm.record(len(input), len(raw), err, start)
 		e.tel.cacheFills.Add(uint64(st.Fills))
-		e.tel.cacheFlushes.Add(uint64(st.Demotions)) // demotion is the only whole-cache drop
 		e.tel.cacheEvictions.Add(uint64(st.Evictions))
 		e.tel.prefilterSkipped.Add(uint64(st.PrefilterSkipped))
 		e.tel.demotions.Add(uint64(st.Demotions))

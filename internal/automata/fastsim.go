@@ -3,29 +3,26 @@ package automata
 import (
 	"context"
 	"fmt"
+	"math/bits"
 )
 
-// FastSimulator is a throughput-oriented simulator: it precomputes, for
-// every input symbol, the bitset of STEs accepting that symbol, and for
-// every element the bitset of STEs its activation enables. A cycle is then
-// a handful of word-wide AND/OR passes instead of per-element class tests,
-// which mirrors how the physical device evaluates all columns of the
-// memory array against the decoded row in parallel.
+// FastSimulator is a throughput-oriented simulator: it reads the
+// topology's StepTables — for every input symbol, the bitset of STEs
+// accepting it, and for every element the sparse bitset of STEs its
+// activation enables — so a cycle is a handful of word-wide AND/OR passes
+// instead of per-element class tests, which mirrors how the physical
+// device evaluates all columns of the memory array against the decoded
+// row in parallel.
 //
-// The simulator runs on a frozen Topology: the precomputed tables are
-// immutable and shared by every clone, and all mutable execution state
-// lives in one flat word slice plus the counter array, so Clone is a
+// The tables are built once per frozen Topology and shared with every
+// other tier; all mutable execution state lives in one flat word slice
+// plus the counter array, so construction after the first and Clone are a
 // constant number of allocations regardless of design size.
 //
 // Semantics are identical to Simulator; the tests cross-check them.
 type FastSimulator struct {
-	t *Topology
-
-	accept      [256]bitset  // STEs accepting each symbol
-	startData   bitset       // StartOfData STEs
-	startAll    bitset       // StartAllInput STEs
-	outMask     [][]maskWord // per element: sparse STE-enable mask
-	reporting   []ElementID  // elements with Report set
+	t           *Topology
+	tab         *StepTables
 	hasSpecials bool
 
 	// Mutable state: enabled, nextEnabled, and active are equal-length
@@ -40,9 +37,10 @@ type FastSimulator struct {
 	reports []Report
 }
 
-// NewFastSimulator freezes the network (validating it) and builds the
-// precomputed tables. Construction is O(elements × alphabet); prefer the
-// plain Simulator for one-shot runs of very large designs.
+// NewFastSimulator freezes the network (validating it) and builds a fast
+// simulator over its topology. The first simulator of a topology builds
+// its StepTables, which is O(elements × alphabet); prefer the plain
+// Simulator for one-shot runs of very large designs.
 func NewFastSimulator(n *Network) (*FastSimulator, error) {
 	t, err := n.Freeze()
 	if err != nil {
@@ -55,47 +53,13 @@ func NewFastSimulator(n *Network) (*FastSimulator, error) {
 // Unlike the Network constructor it cannot fail: a Topology is valid by
 // construction.
 func (t *Topology) NewFastSimulator() *FastSimulator {
-	ln := t.Len()
 	s := &FastSimulator{
 		t:           t,
-		startData:   newBitset(ln),
-		startAll:    newBitset(ln),
-		outMask:     make([][]maskWord, ln),
-		counterVal:  make([]int, ln),
+		tab:         t.StepTables(),
+		counterVal:  make([]int, t.Len()),
 		hasSpecials: !t.Pure(),
 	}
-	s.allocState(ln)
-	for sym := 0; sym < 256; sym++ {
-		s.accept[sym] = newBitset(ln)
-	}
-	for id := ElementID(0); id < ElementID(ln); id++ {
-		if t.Reports(id) {
-			s.reporting = append(s.reporting, id)
-		}
-		mask := newBitset(ln)
-		for _, out := range t.Outs(id) {
-			to := ElementID(out.Node)
-			if out.Port == PortIn && t.Kind(to) == KindSTE {
-				mask.set(to)
-			}
-		}
-		s.outMask[id] = sparsify(mask)
-		if t.Kind(id) != KindSTE {
-			continue
-		}
-		class := t.Class(id)
-		for sym := 0; sym < 256; sym++ {
-			if class.Contains(byte(sym)) {
-				s.accept[sym].set(id)
-			}
-		}
-		switch t.Start(id) {
-		case StartOfData:
-			s.startData.set(id)
-		case StartAllInput:
-			s.startAll.set(id)
-		}
-	}
+	s.allocState(t.Len())
 	return s
 }
 
@@ -130,20 +94,13 @@ func (s *FastSimulator) Reports() []Report { return s.reports }
 func (s *FastSimulator) Offset() int { return s.offset }
 
 // Clone returns an independent simulator for the same topology that shares
-// the precomputed acceptance and enable tables (immutable after
-// construction) but owns fresh mutable state. Because the topology is a
-// frozen struct-of-arrays value and the mutable state is two flat slices,
-// cloning is a constant number of allocations — O(1), not the
-// O(elements × alphabet) of construction — so servers can fan one design
-// out across goroutines cheaply. The clone starts reset.
+// its step tables but owns fresh mutable state. Cloning is a constant
+// number of allocations, so servers can fan one design out across
+// goroutines cheaply. The clone starts reset.
 func (s *FastSimulator) Clone() *FastSimulator {
 	c := &FastSimulator{
 		t:           s.t,
-		accept:      s.accept,
-		startData:   s.startData,
-		startAll:    s.startAll,
-		outMask:     s.outMask,
-		reporting:   s.reporting,
+		tab:         s.tab,
 		hasSpecials: s.hasSpecials,
 		counterVal:  make([]int, s.t.Len()),
 	}
@@ -196,41 +153,29 @@ func (s *FastSimulator) Restore(st *SimState) {
 
 // Step processes one input symbol.
 func (s *FastSimulator) Step(symbol byte) {
-	accept := s.accept[symbol]
-
-	// Phase 1: STE activation — word-parallel.
-	for i := range s.active {
-		w := s.enabled[i] | s.startAll[i]
-		if s.offset == 0 {
-			w |= s.startData[i]
-		}
-		s.active[i] = w & accept[i]
+	rep := s.tab.Activate(s.enabled, s.active, s.nextEnabled, symbol, s.offset == 0)
+	if s.hasSpecials && s.evalSpecials() {
+		rep = true
 	}
-
-	// Phase 2: combinational counters and gates (rare path).
-	if s.hasSpecials {
-		s.evalSpecials()
-	}
-
-	// Phase 3: reporting and next-cycle enables.
-	for i := range s.nextEnabled {
-		s.nextEnabled[i] = 0
-	}
-	s.active.forEach(func(id ElementID) {
-		for _, mw := range s.outMask[id] {
-			s.nextEnabled[mw.word] |= mw.bits
-		}
-	})
-	for _, id := range s.reporting {
-		if s.active.has(id) {
-			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: s.t.ReportCode(id)})
+	s.tab.Propagate(s.active, s.nextEnabled)
+	if rep {
+		for wi, x := range s.active {
+			x &= s.tab.ReportBits[wi]
+			for x != 0 {
+				id := ElementID(wi*64 + bits.TrailingZeros64(x))
+				s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: s.t.ReportCode(id)})
+				x &= x - 1
+			}
 		}
 	}
 	s.enabled, s.nextEnabled = s.nextEnabled, s.enabled
 	s.offset++
 }
 
-func (s *FastSimulator) evalSpecials() {
+// evalSpecials adds the active counters and gates to the active set, in
+// combinational order, before it propagates. It reports whether any of
+// them reports.
+func (s *FastSimulator) evalSpecials() (rep bool) {
 	t := s.t
 	for _, id := range t.Specials() {
 		switch t.Kind(id) {
@@ -255,6 +200,7 @@ func (s *FastSimulator) evalSpecials() {
 			}
 			if s.counterVal[id] >= t.Target(id) {
 				s.active.set(id)
+				rep = rep || t.Reports(id)
 			}
 		case KindGate:
 			anyActive, allActive := false, true
@@ -278,26 +224,11 @@ func (s *FastSimulator) evalSpecials() {
 			}
 			if out {
 				s.active.set(id)
+				rep = rep || t.Reports(id)
 			}
 		}
 	}
-}
-
-// maskWord is one nonzero word of a sparse bitset mask.
-type maskWord struct {
-	word int
-	bits uint64
-}
-
-// sparsify compresses a bitset to its nonzero words.
-func sparsify(b bitset) []maskWord {
-	var out []maskWord
-	for i, w := range b {
-		if w != 0 {
-			out = append(out, maskWord{word: i, bits: w})
-		}
-	}
-	return out
+	return rep
 }
 
 // Run resets the simulator and processes the whole input.

@@ -42,29 +42,16 @@ const MaxLanes = 64
 var ErrNotPure = fmt.Errorf("automata: lane execution requires a pure-STE topology (no counters or gates)")
 
 // LaneSimulator executes up to MaxLanes independent input streams in
-// lock-step over one pure-STE topology. The immutable tables are shared
-// across Clones; the mutable lane state is element-major. Clone is O(1)
+// lock-step over one pure-STE topology. It reads the topology's shared
+// StepTables (the flat symbol-major acceptance table feeds the transpose
+// directly) and adds only its lane-specific successor lists, shared across
+// Clones; the mutable lane state is element-major. Clone is O(1)
 // allocations, like FastSimulator's.
 type LaneSimulator struct {
-	t  *Topology
-	ln int // element count
-
-	// accept is the flat lane-major acceptance table: for symbol sym and
-	// element word wi, accept[sym*nwords+wi] bit e = class(e*) contains
-	// sym (e* = wi*64 + e). Contiguous so the interior loop is one index.
-	accept    []uint64
-	nwords    int
-	pack2     bool // ≤32 elements: two positions share each transposed block
-	startData bitset
-	// always[e] is ^0 for StartAllInput elements (enabled on every cycle
-	// regardless of history) and 0 otherwise, so activation needs no
-	// per-element start-kind branch.
-	always    []uint64
-	reporting []ElementID
-	// Single-word fast-path masks (nwords == 1): bit e set for
-	// StartAllInput / reporting elements respectively.
-	alwaysMask uint64
-	reportMask uint64
+	t     *Topology
+	tab   *StepTables
+	ln    int  // element count
+	pack2 bool // ≤32 elements: two positions share each transposed block
 
 	// succ is the CSR flat successor list over PortIn edges: for element e,
 	// succ[succOff[e]:succOff[e+1]] are the elements e enables.
@@ -102,18 +89,11 @@ func (t *Topology) NewLaneSimulator() (*LaneSimulator, error) {
 		return nil, ErrNotPure
 	}
 	ln := t.Len()
-	nwords := (ln + 63) / 64
-	if nwords == 0 {
-		nwords = 1
-	}
 	s := &LaneSimulator{
-		t:         t,
-		ln:        ln,
-		nwords:    nwords,
-		accept:    make([]uint64, 256*nwords),
-		startData: newBitset(ln),
-		always:    make([]uint64, ln),
-		succOff:   make([]int32, ln+1),
+		t:       t,
+		tab:     t.StepTables(),
+		ln:      ln,
+		succOff: make([]int32, ln+1),
 	}
 	nsucc := 0
 	for id := ElementID(0); id < ElementID(ln); id++ {
@@ -121,34 +101,12 @@ func (t *Topology) NewLaneSimulator() (*LaneSimulator, error) {
 	}
 	s.succ = make([]int32, 0, nsucc)
 	for id := ElementID(0); id < ElementID(ln); id++ {
-		if t.Reports(id) {
-			s.reporting = append(s.reporting, id)
-		}
 		for _, out := range t.Outs(id) {
 			if out.Port == PortIn {
 				s.succ = append(s.succ, out.Node)
 			}
 		}
 		s.succOff[id+1] = int32(len(s.succ))
-		class := t.Class(id)
-		wi, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
-		for sym := 0; sym < 256; sym++ {
-			if class.Contains(byte(sym)) {
-				s.accept[sym*nwords+wi] |= bit
-			}
-		}
-		switch t.Start(id) {
-		case StartOfData:
-			s.startData.set(id)
-		case StartAllInput:
-			s.always[id] = ^uint64(0)
-			if nwords == 1 {
-				s.alwaysMask |= 1 << uint(id)
-			}
-		}
-		if nwords == 1 && t.Reports(id) {
-			s.reportMask |= 1 << uint(id)
-		}
 	}
 	s.pack2 = ln <= 32
 	s.allocState()
@@ -172,18 +130,12 @@ func (s *LaneSimulator) Topology() *Topology { return s.t }
 // allocations.
 func (s *LaneSimulator) Clone() *LaneSimulator {
 	c := &LaneSimulator{
-		t:          s.t,
-		ln:         s.ln,
-		nwords:     s.nwords,
-		pack2:      s.pack2,
-		accept:     s.accept,
-		startData:  s.startData,
-		always:     s.always,
-		reporting:  s.reporting,
-		alwaysMask: s.alwaysMask,
-		reportMask: s.reportMask,
-		succ:       s.succ,
-		succOff:    s.succOff,
+		t:       s.t,
+		tab:     s.tab,
+		ln:      s.ln,
+		pack2:   s.pack2,
+		succ:    s.succ,
+		succOff: s.succOff,
 	}
 	c.allocState()
 	return c
@@ -225,13 +177,12 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 	// begin together. Seeding the enable vector here removes the
 	// first-position branch from the loop; the seed is consumed (and the
 	// vector replaced) by the first step's swap.
-	s.live = 0
-	s.startData.forEach(func(id ElementID) {
+	bitset(s.tab.StartData).forEach(func(id ElementID) {
 		s.enabled[id] = alive0
-		if s.nwords == 1 {
-			s.live |= 1 << uint(id)
-		}
 	})
+	if s.tab.Words == 1 {
+		s.live = s.tab.StartData[0]
+	}
 
 	full := ^uint64(0)
 	if len(inputs) < 64 {
@@ -246,10 +197,10 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 	var rows [64]uint64
 
 	pos := 0
-	if s.nwords == 1 {
+	if s.tab.Words == 1 {
 		// Small-design fast path: the whole element set fits one word, so
 		// the transposed block is consumed in place — no column staging.
-		accept := s.accept
+		accept := s.tab.Accept
 		if s.pack2 {
 			// ≤32 elements: two positions share each transposed block —
 			// position pos in columns 0–31, pos+1 in columns 32–63.
@@ -324,8 +275,18 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 	}
 
 	// General path: >64 elements, one transpose per 64-element block with
-	// results staged into the element-indexed cols array.
-	nwords := s.nwords
+	// results staged into the element-indexed cols array. StartAllInput
+	// elements are enabled on every cycle: armed before the first
+	// position and re-armed after each clear of the next vector.
+	nwords, accept, startAll := s.tab.Words, s.tab.Accept, s.tab.StartAll
+	armAll := func(enabled []uint64) {
+		for wi, x := range startAll {
+			for ; x != 0; x &= x - 1 {
+				enabled[wi*64+bits.TrailingZeros64(x)] = ^uint64(0)
+			}
+		}
+	}
+	armAll(s.enabled)
 	var bytesAt [64]byte
 	for ; pos < maxLen; pos++ {
 		if pos%CancelCheckInterval == 0 && ctx != nil {
@@ -352,7 +313,7 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 
 		for wi := 0; wi < nwords; wi++ {
 			for l := 0; l < len(inputs); l++ {
-				rows[63-l] = s.accept[int(bytesAt[l])*nwords+wi]
+				rows[63-l] = accept[int(bytesAt[l])*nwords+wi]
 			}
 			transpose64(&rows)
 			base := wi * 64
@@ -368,8 +329,9 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 		for i := range s.next {
 			s.next[i] = 0
 		}
+		armAll(s.next)
 		for e := 0; e < s.ln; e++ {
-			a := (s.enabled[e] | s.always[e]) & s.cols[e] & alive
+			a := s.enabled[e] & s.cols[e] & alive
 			s.active[e] = a
 			if a != 0 {
 				for _, to := range s.succ[s.succOff[e]:s.succOff[e+1]] {
@@ -377,12 +339,13 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 				}
 			}
 		}
-		for _, id := range s.reporting {
-			a := s.active[id]
-			for a != 0 {
-				l := bits.TrailingZeros64(a)
-				out[l] = append(out[l], Report{Offset: pos, Element: id, Code: s.t.ReportCode(id)})
-				a &= a - 1
+		for wi, x := range s.tab.ReportBits {
+			for ; x != 0; x &= x - 1 {
+				id := ElementID(wi*64 + bits.TrailingZeros64(x))
+				for a := s.active[id]; a != 0; a &= a - 1 {
+					l := bits.TrailingZeros64(a)
+					out[l] = append(out[l], Report{Offset: pos, Element: id, Code: s.t.ReportCode(id)})
+				}
 			}
 		}
 		s.enabled, s.next = s.next, s.enabled
@@ -403,18 +366,19 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 // neither buffer ever needs a full clear.
 func (s *LaneSimulator) stepWord(rows *[64]uint64, base int, alive uint64, out [][]Report, pos int) {
 	enabled, next := s.enabled, s.next
-	succ, succOff, always := s.succ, s.succOff, s.always
-	w := s.live | s.alwaysMask
+	succ, succOff := s.succ, s.succOff
+	always, reports := s.tab.StartAll[0], s.tab.ReportBits[0]
+	w := s.live | always
 	var nextLive uint64
 	for w != 0 {
 		e := bits.TrailingZeros64(w)
 		w &= w - 1
-		a := (enabled[e] | always[e]) & rows[base-e] & alive
+		a := (enabled[e] | -(always >> uint(e) & 1)) & rows[base-e] & alive
 		enabled[e] = 0
 		if a == 0 {
 			continue
 		}
-		if s.reportMask&(1<<uint(e)) != 0 {
+		if reports&(1<<uint(e)) != 0 {
 			id := ElementID(e)
 			code := s.t.ReportCode(id)
 			r := a

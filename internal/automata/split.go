@@ -13,8 +13,10 @@ package automata
 // every enable ultimately originates at a start STE within the same
 // component — and are dropped. Either result may be nil when empty.
 //
-// Element names, classes, start kinds, report flags, and report codes are
-// preserved; IDs are renumbered densely within each sub-topology.
+// When one side keeps every element, it is t itself, so callers share t's
+// StepTables and pay no copy. Otherwise the side is a new topology:
+// element names, classes, start kinds, report flags, and report codes are
+// preserved, and IDs are renumbered densely.
 func SplitSpecials(t *Topology) (pure, special *Topology) {
 	uf := newUnionFind(t.Len())
 	for id := 0; id < t.Len(); id++ {
@@ -46,8 +48,16 @@ func SplitSpecials(t *Topology) (pure, special *Topology) {
 // extract builds the frozen sub-topology of elements selected by keep,
 // remapping IDs densely via a throwaway builder Network. Edges between kept
 // elements are preserved; a weakly-connected selection never has edges
-// crossing the cut. Returns nil when no element is kept.
+// crossing the cut. Returns nil when no element is kept and t when every
+// element is.
 func extract(t *Topology, name string, keep func(int) bool) *Topology {
+	all := t.Len() > 0
+	for i := 0; i < t.Len() && all; i++ {
+		all = keep(i)
+	}
+	if all {
+		return t
+	}
 	remap := make([]ElementID, t.Len())
 	for i := range remap {
 		remap[i] = NoElement

@@ -76,9 +76,10 @@ func TestSplitSpecialsAllPure(t *testing.T) {
 	n := NewNetwork("pure")
 	a := splitChain(n, "ab", StartAllInput)
 	n.SetReport(a, 0)
-	pure, special := SplitSpecials(n.MustFreeze())
-	if pure == nil || special != nil {
-		t.Fatalf("pure=%v special=%v, want pure only", pure, special)
+	top := n.MustFreeze()
+	pure, special := SplitSpecials(top)
+	if pure != top || special != nil {
+		t.Fatalf("pure=%p special=%v, want the input topology %p as pure only", pure, special, top)
 	}
 }
 
@@ -88,9 +89,10 @@ func TestSplitSpecialsAllSpecial(t *testing.T) {
 	ctr := n.AddCounter(1)
 	n.Connect(a, ctr, PortCount)
 	n.SetReport(ctr, 0)
-	pure, special := SplitSpecials(n.MustFreeze())
-	if pure != nil || special == nil {
-		t.Fatalf("pure=%v special=%v, want special only", pure, special)
+	top := n.MustFreeze()
+	pure, special := SplitSpecials(top)
+	if pure != nil || special != top {
+		t.Fatalf("pure=%v special=%p, want the input topology %p as special only", pure, special, top)
 	}
 }
 

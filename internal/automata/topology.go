@@ -47,6 +47,9 @@ type Topology struct {
 	specials []ElementID // counters and gates in combinational order
 	stats    Stats
 	divisor  int
+
+	stepOnce sync.Once
+	steps    *StepTables
 }
 
 // TopoEdge is one edge endpoint in a frozen topology: the neighbor's

@@ -15,7 +15,6 @@ package dfa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/automata"
@@ -86,18 +85,21 @@ func FromTopology(t *automata.Topology, opts *Options) (*DFA, error) {
 		return nil, fmt.Errorf("dfa: counters and gates are not supported; the design must be a pure NFA")
 	}
 
+	tab := t.StepTables()
 	b := &builder{
-		t:     t,
-		o:     o,
-		part:  automata.Partition(t),
-		ids:   map[string]int32{},
-		dfa:   &DFA{reportsAt: map[int64][]int{}},
-		queue: nil,
+		tab:     tab,
+		o:       o,
+		part:    automata.Partition(t),
+		ids:     map[string]int32{},
+		dfa:     &DFA{reportsAt: map[int64][]int{}},
+		enabled: make([]uint64, tab.Words),
+		active:  make([]uint64, tab.Words),
+		next:    make([]uint64, tab.Words),
 	}
 	// Two NFA contexts exist: the first symbol (start-of-data states are
 	// eligible) and every later symbol. Model the first-symbol context as
 	// a distinct DFA start state whose successors are steady states.
-	start := b.intern(nil, true)
+	start := b.intern(b.enabled, true)
 	b.dfa.start = start
 	for len(b.queue) > 0 {
 		cur := b.queue[0]
@@ -113,42 +115,34 @@ func FromTopology(t *automata.Topology, opts *Options) (*DFA, error) {
 	return b.dfa, nil
 }
 
-type stateKey struct {
-	enabled []automata.ElementID
-	first   bool
-}
-
+// builder runs the subset construction. A DFA state is an NFA
+// configuration — an enable bitset plus the first-symbol flag — keyed by
+// automata.AppendConfigKey and stepped with the topology's shared
+// StepTables.
 type builder struct {
-	t     *automata.Topology
+	tab   *automata.StepTables
 	o     Options
 	part  *automata.SymbolPartition
 	ids   map[string]int32
-	keys  []stateKey
+	keys  []string // state id → configuration key
 	dfa   *DFA
 	queue []int32
-}
 
-func keyString(enabled []automata.ElementID, first bool) string {
-	var sb strings.Builder
-	if first {
-		sb.WriteByte('F')
-	}
-	for _, id := range enabled {
-		fmt.Fprintf(&sb, "%d,", id)
-	}
-	return sb.String()
+	enabled, active, next []uint64 // step scratch, tab.Words long
+	keyBuf                []byte
 }
 
 // intern returns the DFA state id for an NFA configuration, creating and
 // queueing it when new.
-func (b *builder) intern(enabled []automata.ElementID, first bool) int32 {
-	k := keyString(enabled, first)
-	if id, ok := b.ids[k]; ok {
+func (b *builder) intern(enabled []uint64, first bool) int32 {
+	b.keyBuf = automata.AppendConfigKey(b.keyBuf[:0], enabled, first)
+	if id, ok := b.ids[string(b.keyBuf)]; ok {
 		return id
 	}
-	id := int32(len(b.ids))
+	k := string(b.keyBuf)
+	id := int32(len(b.keys))
 	b.ids[k] = id
-	b.keys = append(b.keys, stateKey{enabled: enabled, first: first})
+	b.keys = append(b.keys, k)
 	b.dfa.next = append(b.dfa.next, make([]int32, 256)...)
 	b.dfa.hasReport = append(b.dfa.hasReport, 0, 0, 0, 0) // 256 bits per state
 	b.queue = append(b.queue, id)
@@ -160,10 +154,13 @@ func (b *builder) expand(state int32) error {
 	if len(b.ids) > b.o.MaxStates {
 		return fmt.Errorf("dfa: construction exceeded %d states", b.o.MaxStates)
 	}
-	k := b.keys[state]
+	first := automata.DecodeConfigKey(b.enabled, b.keys[state])
 	for _, rep := range b.part.Representatives {
-		next, reports := b.step(k, rep)
-		nextID := b.intern(next, false)
+		var reports []int
+		if b.tab.Step(b.enabled, b.active, b.next, rep, first) {
+			reports = b.tab.AppendCodes(nil, b.active)
+		}
+		nextID := b.intern(b.next, false)
 		// Apply to every symbol in the representative's group.
 		for sym := 0; sym < 256; sym++ {
 			if b.part.GroupOf[sym] != b.part.GroupOf[rep] {
@@ -184,44 +181,6 @@ func pairKey(state int32, sym byte) int64 { return int64(state)<<8 | int64(sym) 
 func (d *DFA) setReportBit(state int32, sym byte) {
 	idx := int(state)<<8 | int(sym)
 	d.hasReport[idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// step advances an NFA configuration by one symbol.
-func (b *builder) step(k stateKey, sym byte) ([]automata.ElementID, []int) {
-	nextSet := map[automata.ElementID]bool{}
-	reportSet := map[int]bool{}
-	activate := func(id automata.ElementID) {
-		if !b.t.Class(id).Contains(sym) {
-			return
-		}
-		if b.t.Reports(id) {
-			reportSet[b.t.ReportCode(id)] = true
-		}
-		for _, out := range b.t.Outs(id) {
-			if out.Port == automata.PortIn {
-				nextSet[automata.ElementID(out.Node)] = true
-			}
-		}
-	}
-	for _, id := range k.enabled {
-		activate(id)
-	}
-	for id := automata.ElementID(0); id < automata.ElementID(b.t.Len()); id++ {
-		if b.t.Start(id) == automata.StartAllInput || (b.t.Start(id) == automata.StartOfData && k.first) {
-			activate(id)
-		}
-	}
-	next := make([]automata.ElementID, 0, len(nextSet))
-	for id := range nextSet {
-		next = append(next, id)
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	var reports []int
-	for code := range reportSet {
-		reports = append(reports, code)
-	}
-	sort.Ints(reports)
-	return next, reports
 }
 
 // Run executes the DFA over input and returns report events in offset

@@ -3,6 +3,8 @@ package lazydfa
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/automata"
 )
 
 // The state cache interns DFA states (NFA configurations) and owns the
@@ -71,8 +73,8 @@ type inEdge struct {
 // state is one cache slot's metadata; its transition row lives in the
 // cache's rows slab at [id*ngroups, (id+1)*ngroups).
 type state struct {
-	// key is the configuration (appendConfigKey); decodeConfigKey recovers
-	// it, so the state keeps no second copy.
+	// key is the configuration (automata.AppendConfigKey);
+	// DecodeConfigKey recovers it, so the state keeps no second copy.
 	key string
 	ref bool   // second-chance reference bit
 	gen uint32 // bumped on eviction; validates inEdge records and walkers' saved ids
@@ -183,7 +185,7 @@ func (c *stateCache) row(id int32) []int32 {
 // reports failure when it would need either, so the caller can take
 // exclusive access and retry.
 func (c *stateCache) intern(enabled []uint64, first bool, pinned int32, excl bool) (int32, bool) {
-	c.keyBuf = appendConfigKey(c.keyBuf[:0], enabled, first)
+	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], enabled, first)
 	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
 		c.meta[id].ref = true
 		return id, true

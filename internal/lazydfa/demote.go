@@ -2,8 +2,6 @@ package lazydfa
 
 import (
 	"context"
-	"math/bits"
-	"sort"
 
 	"repro/internal/automata"
 )
@@ -51,9 +49,9 @@ func (w *walker) adapt(window int) bool {
 }
 
 // demote flips the design to the NFA bitset walk permanently and releases
-// the cache's memory, unless another walker got there first. The
-// whole-cache drop is what Flushes() counts. The walker must not hold
-// cache.mu; the other walkers see the flag when they next take it.
+// the cache's memory, unless another walker got there first. The walker
+// must not hold cache.mu; the other walkers see the flag when they next
+// take it.
 func (w *walker) demote() {
 	c := w.m.cache
 	c.mu.Lock()
@@ -68,18 +66,14 @@ func (w *walker) demote() {
 	w.stats.Demotions++
 }
 
-// runPure walks the pure-STE components with the word-parallel bitset
-// algorithm (the same recurrence FastSimulator uses), using the compiled
-// program tables directly. It continues a run from the configuration
-// (enabled, first), base bytes into the stream: the start configuration
-// for whole runs of a demoted design, or the walker's saved position at
-// the demotion point.
+// runPure walks the pure-STE components on the NFA bitset recurrence,
+// one shared-kernel step per symbol (the same step a cache miss takes).
+// It continues a run from the configuration (enabled, first), base bytes
+// into the stream: the start configuration for whole runs of a demoted
+// design, or the walker's saved position at the demotion point.
 func (w *walker) runPure(ctx context.Context, input []byte, out []Report, base int, first bool, enabled []uint64) ([]Report, error) {
-	p := w.m.prog
 	cfg := w.pureEnabled
 	copy(cfg, enabled)
-	active := w.activeBuf
-	next := w.nextBuf
 	for len(input) > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -90,55 +84,17 @@ func (w *walker) runPure(ctx context.Context, input []byte, out []Report, base i
 		if len(chunk) > automata.CancelCheckInterval {
 			chunk = chunk[:automata.CancelCheckInterval]
 		}
-		for i := 0; i < len(chunk); i++ {
-			accept := p.accept[chunk[i]]
-			var anyRep uint64
-			for j := range active {
-				a := cfg[j] | p.startAll[j]
-				if first {
-					a |= p.startData[j]
-				}
-				a &= accept[j]
-				active[j] = a
-				anyRep |= a & p.reportBits[j]
-				next[j] = 0
-			}
+		for i, sym := range chunk {
+			next, codes := w.step(cfg, first, sym)
 			first = false
-			for wi, x := range active {
-				for x != 0 {
-					id := wi*64 + bits.TrailingZeros64(x)
-					for _, mw := range p.outMask[id] {
-						next[mw.word] |= mw.bits
-					}
-					x &= x - 1
-				}
+			for _, code := range codes {
+				out = append(out, Report{Offset: base + i, Code: code})
 			}
-			if anyRep != 0 {
-				codes := w.codesBuf[:0]
-				for wi, x := range active {
-					rep := x & p.reportBits[wi]
-					for rep != 0 {
-						id := wi*64 + bits.TrailingZeros64(rep)
-						codes = append(codes, p.reportCode[id])
-						rep &= rep - 1
-					}
-				}
-				if len(codes) > 1 {
-					sort.Ints(codes)
-					codes = compactInts(codes)
-				}
-				w.codesBuf = codes
-				for _, code := range codes {
-					out = append(out, Report{Offset: base + i, Code: code})
-				}
-			}
-			cfg, next = next, cfg
+			cfg, w.nextBuf = next, cfg
 		}
 		base += len(chunk)
 		input = input[len(chunk):]
 	}
-	// cfg and next may have swapped an odd number of times; keep the field
-	// assignments consistent with the final roles.
-	w.pureEnabled, w.nextBuf = cfg, next
+	w.pureEnabled = cfg
 	return out, nil
 }

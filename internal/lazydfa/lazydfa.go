@@ -32,6 +32,11 @@
 //     instead of stepped byte-by-byte, and the skip disables itself when
 //     measured dead runs are too short to pay for the scan.
 //
+// Every NFA step the tier takes — a cache miss, or the bitset walk after
+// demotion — runs the shared kernel over the pure topology's
+// automata.StepTables, the same tables FastSimulator and LaneSimulator
+// read; the tier adds only its symbol-group map and prefilter facts.
+//
 // Designs containing counters or boolean gates are handled by a hybrid
 // split: weakly-connected components made only of STEs run on the lazy
 // DFA, while components containing special elements run on a cloned
@@ -43,7 +48,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -210,9 +214,10 @@ type walker struct {
 }
 
 // New freezes the network (validating it), splits its topology into the
-// counter-free and special component sets, and compiles the lazy tier's
-// tables. Construction is O(elements × alphabet) like NewFastSimulator;
-// the DFA itself materializes during execution.
+// counter-free and special component sets, and derives the lazy tier's
+// symbol groups and prefilter facts. The step tables are the topology's
+// shared StepTables, O(elements × alphabet) to build on first use; the
+// DFA itself materializes during execution.
 func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	o := opts.withDefaults()
 	t, err := n.Freeze()
@@ -244,11 +249,12 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 func (m *Matcher) newWalker() *walker {
 	w := &walker{m: m}
 	if p := m.prog; p != nil {
-		w.activeBuf = make([]uint64, p.nwords)
-		w.nextBuf = make([]uint64, p.nwords)
-		w.config = make([]uint64, p.nwords)
-		w.pureEnabled = make([]uint64, p.nwords)
-		w.saved = make([]uint64, p.nwords)
+		nw := p.tab.Words
+		w.activeBuf = make([]uint64, nw)
+		w.nextBuf = make([]uint64, nw)
+		w.config = make([]uint64, nw)
+		w.pureEnabled = make([]uint64, nw)
+		w.saved = make([]uint64, nw)
 	}
 	if m.sim != nil {
 		w.sim = m.sim.Clone()
@@ -325,12 +331,6 @@ func (m *Matcher) CacheBudget() int {
 // misses. Together with Evictions it is the cache-efficiency signal the
 // telemetry layer surfaces.
 func (m *Matcher) Fills() int { return int(m.fills.Load()) }
-
-// Flushes returns how many times the whole state cache was dropped. Under
-// per-state eviction this never happens on capacity pressure; the only
-// whole-cache drop is the one performed by demotion, when the DFA gives
-// the memory back before switching to the bitset walk.
-func (m *Matcher) Flushes() int { return m.Demotions() }
 
 // Evictions returns how many single states the cache has evicted to make
 // room.
@@ -563,7 +563,7 @@ func walkWarm(rows []int32, groupOf *[256]uint8, ng int, chunk []byte, i int, cu
 // saved position, before the walker lets go of cache.mu.
 func (w *walker) save(cur int32) {
 	st := w.m.cache.meta[cur]
-	w.savedFirst = decodeConfigKey(w.saved, st.key)
+	w.savedFirst = automata.DecodeConfigKey(w.saved, st.key)
 	w.savedID = cur
 	w.savedGen = st.gen
 }
@@ -642,7 +642,7 @@ func (w *walker) restID() int32 {
 func (w *walker) miss(cur int32, g int, sym byte) (int32, bool) {
 	c := w.m.cache
 	st := c.meta[cur]
-	first := decodeConfigKey(w.config, st.key)
+	first := automata.DecodeConfigKey(w.config, st.key)
 	next, codes := w.step(w.config, first, sym)
 	c.missMu.Lock()
 	defer c.missMu.Unlock()
@@ -669,45 +669,17 @@ func (w *walker) miss(cur int32, g int, sym byte) (int32, bool) {
 }
 
 // step computes the successor configuration and report codes of the
-// configuration (enabled, first) on sym. Both returned slices alias the
-// walker's scratch buffers and must be copied before retention.
+// configuration (enabled, first) on sym with the shared step kernel. Both
+// returned slices alias the walker's scratch buffers and must be copied
+// before retention; enabled must not be the walker's nextBuf.
 func (w *walker) step(enabled []uint64, first bool, sym byte) ([]uint64, []int) {
-	p := w.m.prog
-	accept := p.accept[sym]
-	active := w.activeBuf
-	for i := range active {
-		x := enabled[i] | p.startAll[i]
-		if first {
-			x |= p.startData[i]
-		}
-		active[i] = x & accept[i]
-	}
-	next := w.nextBuf
-	for i := range next {
-		next[i] = 0
-	}
+	tab := w.m.prog.tab
 	codes := w.codesBuf[:0]
-	for wi, x := range active {
-		rep := x & p.reportBits[wi]
-		for x != 0 {
-			id := wi*64 + bits.TrailingZeros64(x)
-			for _, mw := range p.outMask[id] {
-				next[mw.word] |= mw.bits
-			}
-			x &= x - 1
-		}
-		for rep != 0 {
-			id := wi*64 + bits.TrailingZeros64(rep)
-			codes = append(codes, p.reportCode[id])
-			rep &= rep - 1
-		}
+	if tab.Step(enabled, w.activeBuf, w.nextBuf, sym, first) {
+		codes = tab.AppendCodes(codes, w.activeBuf)
+		w.codesBuf = codes
 	}
-	if len(codes) > 1 {
-		sort.Ints(codes)
-		codes = compactInts(codes)
-	}
-	w.codesBuf = codes
-	return next, codes
+	return w.nextBuf, codes
 }
 
 // skipDead scans s for the first byte that can advance the rest
@@ -757,16 +729,6 @@ func canonicalize(rs []Report) []Report {
 	for i, r := range rs {
 		if i == 0 || r != rs[i-1] {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func compactInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
 		}
 	}
 	return out
