@@ -59,7 +59,6 @@ func main() {
 		outJSON     = flag.String("out", "BENCH_throughput.json", "throughput JSON output path (empty to skip)")
 		aotMax      = flag.Int("aotmax", 50_000, "AOT DFA state budget; designs exceeding it fall back to the lazy tier")
 		backendFlag = flag.String("backend", "all", "throughput tier to measure: all, device, cpu-dfa, or lazy-dfa")
-		lazyCache   = flag.String("lazy-cache", "", "comma-separated fixed MaxCachedStates values; adds one lazy-dfa[cache=N] throughput row per size")
 		laneSweep   = flag.String("lanes", "", "comma-separated lane widths in [2,64]; adds one nfa-bitset-x64[lanes=N] throughput row per width (the full 64-lane row is always measured)")
 		benchNames  = flag.String("benchmarks", "", "comma-separated benchmark names to measure (empty = all five)")
 		compile     = flag.Bool("compile", false, "measure compile throughput (designs/sec placed, cold vs parallel vs stamped)")
@@ -122,22 +121,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cacheSizes, err := parseIntList(*lazyCache, "-lazy-cache")
-		if err != nil {
-			fatal(err)
-		}
 		laneSizes, err := parseIntList(*laneSweep, "-lanes")
 		if err != nil {
 			fatal(err)
 		}
 		cfg := &harness.ThroughputConfig{
-			StreamBytes:    *streamMiB << 20,
-			AOTMaxStates:   *aotMax,
-			Engines:        engines,
-			Benchmarks:     splitList(*benchNames),
-			LazyCacheSizes: cacheSizes,
-			ColdLazy:       *coldLazy,
-			LaneSizes:      laneSizes,
+			StreamBytes:  *streamMiB << 20,
+			AOTMaxStates: *aotMax,
+			Engines:      engines,
+			Benchmarks:   splitList(*benchNames),
+			ColdLazy:     *coldLazy,
+			LaneSizes:    laneSizes,
 		}
 		rows := runThroughput(cfg, *streamMiB, *outJSON, batch, *metricsAddr != "")
 		if *baseline != "" {
@@ -281,8 +275,8 @@ func gateCompile(baselinePath string, rows []harness.CompileRow, tolerance, minR
 	return nil
 }
 
-// parseIntList parses a comma list of positive integers (the -lazy-cache
-// and -lanes sweeps).
+// parseIntList parses a comma list of positive integers (the -lanes
+// sweep).
 func parseIntList(s, flagName string) ([]int, error) {
 	var out []int
 	for _, part := range splitList(s) {

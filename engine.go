@@ -87,7 +87,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 }
 
 // NewEngine builds the design's batch execution engine. Options:
-// WithWorkers, WithMaxCachedStates, WithLanes, WithTelemetry. Unlike
+// WithWorkers, WithMaxCacheBytes, WithLanes, WithTelemetry. Unlike
 // CompileCPU, engine construction never aborts on design size: the lazy
 // tier's memory is bounded by the state-cache cap, and counters and gates
 // run on the bitset fallback.
@@ -97,10 +97,7 @@ func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	m, err := lazydfa.New(d.net, &lazydfa.Options{
-		MaxCachedStates: cfg.maxCachedStates,
-		MaxCacheBytes:   cfg.maxCacheBytes,
-	})
+	m, err := lazydfa.New(d.net, &lazydfa.Options{MaxCacheBytes: cfg.maxCacheBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,8 @@ func TestEngineMatchesSimulatorOnBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			small, err := design.NewEngine(WithMaxCachedStates(16))
+			reg := telemetry.NewRegistry()
+			small, err := design.NewEngine(WithMaxCacheBytes(capBytes(t, design, 16)), WithTelemetry(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +69,30 @@ func TestEngineMatchesSimulatorOnBenchmarks(t *testing.T) {
 			if smallSet := reportSet(gotSmall); !reflect.DeepEqual(smallSet, wantSet) {
 				t.Fatalf("cache-bound engine diverged (tiers %s)", small.Tiers())
 			}
+			if strings.HasPrefix(small.Tiers(), "lazy-dfa") && reg.Counter("rapid_lazydfa_cache_evictions_total", "").Value() == 0 {
+				t.Fatalf("the 16-state cache never evicted (tiers %s)", small.Tiers())
+			}
 		})
 	}
+}
+
+// capBytes returns the WithMaxCacheBytes value that caps design's lazy-DFA
+// cache at states states, reading the per-state estimate off a warmed
+// engine.
+func capBytes(t *testing.T, design *Design, states int) int64 {
+	t.Helper()
+	eng, err := design.NewEngine(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(context.Background(), []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.CacheStats()
+	if st.States == 0 {
+		return 1 // no lazy tier: the cap is never consulted
+	}
+	return int64(states) * (st.Bytes / int64(st.States))
 }
 
 // TestEngineRunBatchOrder checks RunBatch returns results in input order,
@@ -396,11 +419,13 @@ const hybridANML = `<anml version="1.0"><automata-network id="hybrid">
 
 // TestEngineConcurrentHammer runs 8 goroutines of Run and RunBatchSettled
 // on one engine and checks every result against the reference simulator,
-// in the three regimes where walkers contend for the shared cache: a tiny
-// fixed cache that evicts while other walkers read, a tiny adaptive byte
-// cap under which one walker demotes the design mid-stream while the
-// others run, and a counter design whose hybrid split runs a bitset tier
-// next to the lazy one.
+// in the three regimes where walkers contend for the shared cache: an
+// 8-state cap on Exact that evicts while other walkers read but stays far
+// below the demotion threshold (ARM's working set thrashes past it at any
+// cap below its size), a 2-state cap under which one walker demotes the
+// design mid-stream while the others run, and a counter design whose
+// hybrid split runs a bitset tier next to a 5-state lazy cache that evicts
+// without demoting.
 func TestEngineConcurrentHammer(t *testing.T) {
 	benchCase := func(name string) (*Design, func(*rand.Rand, int) []byte) {
 		b := bench.ByName(name)
@@ -408,16 +433,16 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		return mustDesign(t, src, args...), b.Input
 	}
 	cases := []struct {
-		name    string
-		design  func() (*Design, func(*rand.Rand, int) []byte)
-		opts    []Option
-		tiers   string
-		demotes bool
+		name      string
+		design    func() (*Design, func(*rand.Rand, int) []byte)
+		capStates int
+		tiers     string
+		demotes   bool
 	}{
-		{"evicting", func() (*Design, func(*rand.Rand, int) []byte) { return benchCase("ARM") },
-			[]Option{WithMaxCachedStates(8)}, "lazy-dfa", false},
+		{"evicting", func() (*Design, func(*rand.Rand, int) []byte) { return benchCase("Exact") },
+			8, "lazy-dfa", false},
 		{"demoting", func() (*Design, func(*rand.Rand, int) []byte) { return benchCase("Gappy") },
-			[]Option{WithMaxCacheBytes(1)}, "lazy-dfa", true},
+			2, "lazy-dfa", true},
 		{"hybrid", func() (*Design, func(*rand.Rand, int) []byte) {
 			design, err := LoadANML([]byte(hybridANML))
 			if err != nil {
@@ -430,13 +455,13 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				}
 				return in
 			}
-		}, []Option{WithMaxCachedStates(4)}, "lazy-dfa+bitset", false},
+		}, 5, "lazy-dfa+bitset", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			design, gen := tc.design()
 			reg := telemetry.NewRegistry()
-			eng, err := design.NewEngine(append(tc.opts, WithWorkers(4), WithTelemetry(reg))...)
+			eng, err := design.NewEngine(WithMaxCacheBytes(capBytes(t, design, tc.capStates)), WithWorkers(4), WithTelemetry(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,7 +512,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 					t.Fatalf("design should have demoted exactly once: demoted=%v demotions=%d", eng.CacheStats().Demoted, demotions)
 				}
 			} else if demotions != 0 {
-				t.Fatalf("a fixed cache never demotes, got %d", demotions)
+				t.Fatalf("the cache should have evicted without demoting, got %d demotions", demotions)
 			}
 		})
 	}

@@ -209,6 +209,17 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler, for mounting without Start.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
+// Connection bounds of the HTTP server Start builds, as on the replicas
+// (internal/serve): a client has readHeaderTimeout to send its request
+// headers, and a keep-alive connection closes after idleTimeout without a
+// request, longer than net/http's default client IdleConnTimeout (90s).
+// There is no read or write timeout: a /v1/match/stream body lives as
+// long as its client keeps sending.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // Start binds the configured listeners and serves in the background.
 func (g *Gateway) Start() error {
 	ln, err := net.Listen("tcp", g.cfg.Addr)
@@ -216,7 +227,7 @@ func (g *Gateway) Start() error {
 		return err
 	}
 	g.ln = ln
-	g.httpSrv = &http.Server{Handler: g.mux}
+	g.httpSrv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	g.serveDone = make(chan struct{})
 	go func() {
 		defer close(g.serveDone)

@@ -586,3 +586,22 @@ func TestReplicasEndpoint(t *testing.T) {
 		return !sts[0].Ready && sts[0].LastError != ""
 	})
 }
+
+// TestStartBoundsConnections: the server Start builds bounds slow request
+// headers and idle keep-alive connections, and sets no read or write
+// timeout that would cut a long-lived /v1/match/stream body.
+func TestStartBoundsConnections(t *testing.T) {
+	cfg := testGatewayConfig([]string{"127.0.0.1:1"}, telemetry.NewRegistry())
+	cfg.Addr = "127.0.0.1:0"
+	g := mustGateway(t, cfg)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hs := g.httpSrv
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want %v and %v", hs.ReadHeaderTimeout, hs.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout=%v WriteTimeout=%v would cut stream bodies", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

@@ -138,8 +138,8 @@ func (v FloorViolation) String() string {
 // same benchmark.
 //
 // Only the plain "lazy-dfa" and "nfa-bitset-x64" rows are floored —
-// fixed-size sweep rows (lazy-dfa[cache=N], nfa-bitset-x64[lanes=N]) and
-// cold rows deliberately measure degraded operating points. Benchmarks
+// lane-width sweep rows (nfa-bitset-x64[lanes=N]) and lazy-dfa-cold rows
+// deliberately measure degraded operating points. Benchmarks
 // where either side is unavailable or absent are skipped with the reason
 // listed (the lane tier is legitimately unavailable on counter designs).
 func CrossTierFloors(current []ThroughputRow, tolerance float64) (violations []FloorViolation, skipped []string) {

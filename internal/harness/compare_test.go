@@ -113,7 +113,7 @@ func TestCrossTierFloors(t *testing.T) {
 		// ARM: no lazy or lane rows measured → skipped with reasons.
 		trow("ARM", "nfa-bitset", 0, 80, ""),
 		// Sweep and batch rows never participate in the floor.
-		trow("Brill", "lazy-dfa[cache=4096]", 0, 0.1, ""),
+		trow("Brill", "lazy-dfa-cold", 0, 0.1, ""),
 		trow("Brill", "nfa-bitset-x64[lanes=8]", 0, 0.1, ""),
 		trow("Exact", "engine-batch", 4, 400, ""),
 	}

@@ -39,10 +39,6 @@ type ThroughputConfig struct {
 	// Benchmarks restricts the benchmark apps measured, by name. Empty
 	// measures all five.
 	Benchmarks []string
-	// LazyCacheSizes adds one extra lazy-dfa row per fixed MaxCachedStates
-	// value (engine "lazy-dfa[cache=N]"), so the adaptive budget's
-	// operating points are inspectable from the committed JSON.
-	LazyCacheSizes []int
 	// ColdLazy adds a "lazy-dfa-cold" row per benchmark: a fresh matcher
 	// with no warm stream, measuring first-stream latency where cache
 	// fills dominate.
@@ -80,7 +76,6 @@ func (c *ThroughputConfig) withDefaults() ThroughputConfig {
 		}
 		out.Engines = c.Engines
 		out.Benchmarks = c.Benchmarks
-		out.LazyCacheSizes = c.LazyCacheSizes
 		out.ColdLazy = c.ColdLazy
 		out.LaneSizes = c.LaneSizes
 	}
@@ -199,17 +194,11 @@ func Throughput(cfg *ThroughputConfig) ([]ThroughputRow, error) {
 
 		if c.wants("lazy-dfa") {
 			variants := []lazyVariant{{engine: "lazy-dfa"}}
-			for _, size := range c.LazyCacheSizes {
-				variants = append(variants, lazyVariant{
-					engine: fmt.Sprintf("lazy-dfa[cache=%d]", size),
-					opts:   &lazydfa.Options{MaxCachedStates: size},
-				})
-			}
 			if c.ColdLazy {
 				variants = append(variants, lazyVariant{engine: "lazy-dfa-cold", cold: true})
 			}
 			for _, v := range variants {
-				m, err := lazydfa.New(net, v.opts)
+				m, err := lazydfa.New(net, nil)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", b.Name, err)
 				}
@@ -273,7 +262,6 @@ func laneRow(b *bench.Benchmark, net *automata.Network, engine string, lanes, to
 // lazyVariant is one lazy-tier measurement configuration.
 type lazyVariant struct {
 	engine string
-	opts   *lazydfa.Options
 	cold   bool
 }
 

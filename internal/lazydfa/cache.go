@@ -123,7 +123,7 @@ type stateCache struct {
 
 	ids map[string]int32
 
-	max   int // current budget (grows adaptively up to limit)
+	max   int // current budget (grows on demand up to limit)
 	limit int // hard cap
 
 	hand      int
@@ -147,15 +147,15 @@ type stateCache struct {
 	keyBuf []byte
 }
 
-func newStateCache(p *program, max, limit int) *stateCache {
+func newStateCache(p *program, limit int) *stateCache {
 	c := &stateCache{
 		ids:     make(map[string]int32),
 		ngroups: p.ngroups,
-		max:     max,
+		max:     min(initialCachedStates, limit),
 		limit:   limit,
 		restKey: p.restKey,
 	}
-	c.grow(min(max, DefaultInitialCachedStates))
+	c.grow(c.max)
 	c.restID.Store(-1)
 	return c
 }

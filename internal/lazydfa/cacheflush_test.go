@@ -3,6 +3,7 @@ package lazydfa_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/automata"
@@ -13,19 +14,23 @@ import (
 )
 
 // lazyVariants are the matcher configurations every differential test
-// runs: tiny fixed caches that force per-state eviction on almost every
-// intern, the adaptive default, and each of those with the prefilter
-// forced on (default where facts exist) and off.
-func lazyVariants() map[string]*lazydfa.Options {
+// runs on net: byte caps of 2 and 3 states that force per-state eviction
+// on almost every intern, the default cap, and each of those with the
+// prefilter forced on (default where facts exist) and off.
+func lazyVariants(tb testing.TB, net *automata.Network) map[string]*lazydfa.Options {
+	cap3 := lazydfa.CapBytes(tb, net, 3)
 	return map[string]*lazydfa.Options{
-		"cap2":             {MaxCachedStates: 2},
-		"cap2-noprefilter": {MaxCachedStates: 2, DisablePrefilter: true},
-		"cap3":             {MaxCachedStates: 3},
-		"cap3-noprefilter": {MaxCachedStates: 3, DisablePrefilter: true},
+		"cap2":             {MaxCacheBytes: 1},
+		"cap2-noprefilter": {MaxCacheBytes: 1, DisablePrefilter: true},
+		"cap3":             {MaxCacheBytes: cap3},
+		"cap3-noprefilter": {MaxCacheBytes: cap3, DisablePrefilter: true},
 		"adaptive":         {},
 		"adaptive-nopf":    {DisablePrefilter: true},
 	}
 }
+
+// tinyCap reports whether a lazyVariants entry is one of the evicting caps.
+func tinyCap(name string) bool { return strings.HasPrefix(name, "cap") }
 
 // TestCacheEvictionBoundaries runs the lazy-DFA matcher at the tightest
 // legal state-cache sizes — where eviction and lazy in-edge repair fire on
@@ -55,7 +60,7 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 		}
 		inputs := rapidgen.Inputs(p, 5)
 
-		for name, opts := range lazyVariants() {
+		for name, opts := range lazyVariants(t, res.Network) {
 			m, err := lazydfa.New(res.Network, opts)
 			if err != nil {
 				t.Fatalf("program %d %s: %v", i, name, err)
@@ -86,9 +91,9 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 }
 
 // TestPaperBenchmarkParity runs all five paper benchmarks through every
-// lazy-matcher variant (tiny evicting caches, adaptive budget, prefilter
+// lazy-matcher variant (tiny evicting caches, default cap, prefilter
 // on/off) against the FastSimulator oracle, asserting identical
-// (offset, code) report sets.
+// (offset, code) report sets and that the tiny caches evicted.
 func TestPaperBenchmarkParity(t *testing.T) {
 	const streamBytes = 1 << 15
 	for _, b := range bench.All() {
@@ -109,7 +114,7 @@ func TestPaperBenchmarkParity(t *testing.T) {
 			}
 			input := b.Input(rand.New(rand.NewSource(97)), streamBytes)
 			want := reportKeys(sim.Clone().Run(input))
-			for name, opts := range lazyVariants() {
+			for name, opts := range lazyVariants(t, res.Network) {
 				m, err := lazydfa.New(res.Network, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -121,6 +126,9 @@ func TestPaperBenchmarkParity(t *testing.T) {
 						t.Fatalf("%s pass %d: %d lazy reports vs %d oracle reports",
 							name, pass, len(got), len(want))
 					}
+				}
+				if tinyCap(name) && m.HasLazyTier() && m.Evictions() == 0 {
+					t.Errorf("%s: the tiny cache never evicted", name)
 				}
 			}
 		})
@@ -141,4 +149,33 @@ func lazyKeys(rs []lazydfa.Report) map[[2]int]bool {
 		m[[2]int{r.Offset, r.Code}] = true
 	}
 	return m
+}
+
+// TestAdaptiveBudgetGrows checks the budget doubles away from its 64-state
+// start when the working set does not fit — Gappy's runs to tens of
+// thousands of states — instead of thrashing at the start size, and that
+// the growth absorbs the working set without demotion.
+func TestAdaptiveBudgetGrows(t *testing.T) {
+	net, b := benchNetwork(t, "Gappy")
+	m, err := lazydfa.New(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CacheBudget() != 64 {
+		t.Fatalf("initial budget = %d, want 64", m.CacheBudget())
+	}
+	input := b.Input(rand.New(rand.NewSource(17)), 1<<16)
+	sim, err := automata.NewFastSimulator(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(lazyKeys(m.Run(input))), fmt.Sprint(reportKeys(sim.Run(input))); got != want {
+		t.Fatal("growing run diverged from the reference")
+	}
+	if m.CacheBudget() <= 64 || m.CachedStates() <= 64 {
+		t.Fatalf("budget never grew past 64: budget %d, %d states, %d evictions", m.CacheBudget(), m.CachedStates(), m.Evictions())
+	}
+	if m.Demoted() {
+		t.Fatal("budget growth should have absorbed the working set without demotion")
+	}
 }

@@ -81,9 +81,9 @@ func TestConcurrentCacheBytesBound(t *testing.T) {
 }
 
 // TestConcurrentEvictionParity runs the ARM benchmark from 8 goroutines
-// on one matcher per variant — tiny fixed caches that evict on almost
-// every intern while other goroutines read, and the adaptive default, with
-// the prefilter on and off — and compares every run against the bitset
+// on one matcher per variant — tiny caches that evict on almost every
+// intern while other goroutines read, and the default cap, with the
+// prefilter on and off — and compares every run against the bitset
 // reference simulator.
 func TestConcurrentEvictionParity(t *testing.T) {
 	net, b := benchNetwork(t, "ARM")
@@ -98,7 +98,7 @@ func TestConcurrentEvictionParity(t *testing.T) {
 		inputs[i] = b.Input(rng, 3*automata.CancelCheckInterval+rng.Intn(1000))
 		want[i] = fmt.Sprint(reportKeys(sim.Clone().Run(inputs[i])))
 	}
-	for name, opts := range lazyVariants() {
+	for name, opts := range lazyVariants(t, net) {
 		t.Run(name, func(t *testing.T) {
 			m, err := lazydfa.New(net, opts)
 			if err != nil {
@@ -118,6 +118,9 @@ func TestConcurrentEvictionParity(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			if tinyCap(name) && m.Evictions() == 0 {
+				t.Error("the tiny cache never evicted under concurrent walkers")
+			}
 		})
 	}
 }

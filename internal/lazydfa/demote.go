@@ -27,8 +27,7 @@ const (
 )
 
 // adapt adds a finished chunk of window bytes to the design's window and
-// reports whether the design should demote now. Only called when the
-// budget is adaptive (Options.MaxCachedStates == 0), with cache.mu held.
+// reports whether the design should demote now. Called with cache.mu held.
 func (w *walker) adapt(window int) bool {
 	c := w.m.cache
 	c.missMu.Lock()

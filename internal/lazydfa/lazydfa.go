@@ -24,8 +24,8 @@
 //     transition into an evicted state is reset to "unfilled" and
 //     recomputes on demand, so a full cache costs one recomputation per
 //     cold edge instead of a flush-and-restart of every hot state. The
-//     budget is adaptive by default — it starts small and doubles toward a
-//     byte-denominated cap while the observed eviction rate stays high.
+//     budget starts small and doubles toward a byte-denominated cap as
+//     states intern.
 //   - A compile-time prefilter (automata.ExtractPrefilter) identifies the
 //     rest configuration and the byte set that can advance it; while the
 //     DFA sits in the rest state the input is scanned with bytes.IndexByte
@@ -65,28 +65,15 @@ type Report struct {
 
 // Options bound the engine's memory use and select its heuristics.
 type Options struct {
-	// MaxCachedStates, when positive, fixes the design's state cache at
-	// exactly this many states: eviction still runs per state, but the
-	// adaptive budget controller and the mid-stream demotion heuristic are
-	// disabled, which makes execution deterministic for tests and for the
-	// rapidbench -lazy-cache sweep. Values below 2 are raised to 2 (the
-	// minimum needed to hold a state and its successor). Zero or negative
-	// selects the adaptive budget.
-	MaxCachedStates int
-
-	// MaxCacheBytes caps the adaptive budget's memory, denominated in
+	// MaxCacheBytes caps the design's state cache, denominated in
 	// estimated bytes of cache (rows, keys, configurations, in-edge
 	// records). The cap bounds the design's one shared cache, whatever the
 	// number of goroutines running it; the cap in states is derived per
-	// design from its word and group counts. Default DefaultMaxCacheBytes.
-	// Ignored when MaxCachedStates is positive.
+	// design from its word and group counts, and is never below 2 states
+	// (one state and its successor). The budget starts at 64 states and
+	// doubles toward the cap while states intern. Default
+	// DefaultMaxCacheBytes.
 	MaxCacheBytes int64
-
-	// InitialCachedStates is the adaptive budget's starting size; the
-	// budget doubles toward the byte cap while the eviction rate per
-	// input byte stays high. Default DefaultInitialCachedStates. Ignored
-	// when MaxCachedStates is positive.
-	InitialCachedStates int
 
 	// DisablePrefilter turns off the rest-state byte skip even when the
 	// design has usable prefilter facts. Used by differential tests to
@@ -95,15 +82,15 @@ type Options struct {
 }
 
 const (
-	// DefaultMaxCacheBytes bounds a design's adaptive state cache at
-	// 64 MiB. The cache is shared by every goroutine running the design,
-	// so the bound holds per design at any worker count. The paper
-	// workloads' largest observed working sets (Brill and Gappy, ~37k
-	// states each) fit with room to spare.
+	// DefaultMaxCacheBytes bounds a design's state cache at 64 MiB. The
+	// cache is shared by every goroutine running the design, so the bound
+	// holds per design at any worker count. The paper workloads' largest
+	// observed working sets (Brill and Gappy, ~37k states each) fit with
+	// room to spare.
 	DefaultMaxCacheBytes = 64 << 20
 
-	// DefaultInitialCachedStates is the adaptive budget's starting size.
-	DefaultInitialCachedStates = 64
+	// initialCachedStates is the budget's starting size.
+	initialCachedStates = 64
 
 	// maxPrefilterBytes is the widest live-byte set the prefilter will
 	// scan for; beyond it, repeated bytes.IndexByte passes cost more than
@@ -112,28 +99,17 @@ const (
 )
 
 type options struct {
-	fixed            int
 	maxCacheBytes    int64
-	initial          int
 	disablePrefilter bool
 }
 
 func (o *Options) withDefaults() options {
-	out := options{maxCacheBytes: DefaultMaxCacheBytes, initial: DefaultInitialCachedStates}
+	out := options{maxCacheBytes: DefaultMaxCacheBytes}
 	if o == nil {
 		return out
 	}
-	if o.MaxCachedStates > 0 {
-		out.fixed = o.MaxCachedStates
-		if out.fixed < 2 {
-			out.fixed = 2
-		}
-	}
 	if o.MaxCacheBytes > 0 {
 		out.maxCacheBytes = o.MaxCacheBytes
-	}
-	if o.InitialCachedStates > 0 {
-		out.initial = o.InitialCachedStates
 	}
 	out.disablePrefilter = o.DisablePrefilter
 	return out
@@ -165,8 +141,7 @@ type Matcher struct {
 	prog *program                // lazy tier (nil when every component has specials)
 	sim  *automata.FastSimulator // bitset tier prototype (nil for counter-free designs)
 
-	cache    *stateCache
-	adaptive bool
+	cache *stateCache
 
 	// prefilter starts true when the design has usable facts and flips
 	// off permanently when measured dead runs are too short to pay for
@@ -228,9 +203,7 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	m := &Matcher{}
 	if pure != nil {
 		m.prog = compile(pure)
-		max, limit, adaptive := cacheBudget(o, m.prog)
-		m.adaptive = adaptive
-		m.cache = newStateCache(m.prog, max, limit)
+		m.cache = newStateCache(m.prog, cacheLimit(o, m.prog))
 		if !o.disablePrefilter && m.prog.hasFacts && len(m.prog.liveBytes) <= maxPrefilterBytes {
 			m.prefilter.Store(true)
 			m.liveBytes = m.prog.liveBytes
@@ -262,31 +235,11 @@ func (m *Matcher) newWalker() *walker {
 	return w
 }
 
-// cacheBudget resolves the options into the cache's starting budget and
-// hard cap. Fixed caps disable the adaptive controller.
-func cacheBudget(o options, p *program) (max, limit int, adaptive bool) {
-	if o.fixed > 0 {
-		max = o.fixed
-		if max > int(cellIDMask) {
-			max = int(cellIDMask)
-		}
-		return max, max, false
-	}
-	limit = int(o.maxCacheBytes / int64(p.stateBytes))
-	if limit < 16 {
-		limit = 16
-	}
-	if limit > int(cellIDMask) {
-		limit = int(cellIDMask)
-	}
-	max = o.initial
-	if max < 2 {
-		max = 2
-	}
-	if max > limit {
-		max = limit
-	}
-	return max, limit, true
+// cacheLimit converts the byte cap into the cache's hard cap in states,
+// at least 2: the minimum that holds a state and its successor.
+func cacheLimit(o options, p *program) int {
+	limit := o.maxCacheBytes / int64(p.stateBytes)
+	return int(min(max(limit, 2), int64(cellIDMask)))
 }
 
 // HasLazyTier reports whether any component runs on the lazy DFA.
@@ -316,8 +269,8 @@ func (m *Matcher) CacheBytes() int64 {
 	return int64(m.CachedStates()) * int64(m.prog.stateBytes)
 }
 
-// CacheBudget returns the cache's current state budget — the fixed
-// MaxCachedStates, or wherever the adaptive controller has grown to.
+// CacheBudget returns the cache's current state budget: where growth from
+// the starting size has reached, at most the MaxCacheBytes cap in states.
 func (m *Matcher) CacheBudget() int {
 	if m.cache == nil {
 		return 0
@@ -444,7 +397,7 @@ func (w *walker) runLazy(ctx context.Context, input []byte, out []Report) ([]Rep
 	if len(input) == 0 {
 		return out, nil
 	}
-	m, p, c := w.m, w.m.prog, w.m.cache
+	p, c := w.m.prog, w.m.cache
 	ng := c.ngroups
 
 	// Start from the start-of-data configuration: no enables, first
@@ -505,7 +458,7 @@ func (w *walker) runLazy(ctx context.Context, input []byte, out []Report) ([]Rep
 		base += len(chunk)
 		input = input[len(chunk):]
 		w.save(cur)
-		demote := m.adaptive && w.adapt(len(chunk))
+		demote := w.adapt(len(chunk))
 		w.unlock()
 		if demote {
 			// Carry the live NFA configuration into the bitset walk; the

@@ -87,12 +87,29 @@ func simSet(rs []automata.Report) []Report {
 	return canonicalize(out)
 }
 
+// capBytes returns the MaxCacheBytes value that caps n's state cache at
+// states states, reading the per-state estimate off a warmed matcher.
+func capBytes(tb testing.TB, n *automata.Network, states int) int64 {
+	tb.Helper()
+	m, err := New(n, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Run([]byte{0})
+	if m.CachedStates() == 0 {
+		return 1 // no lazy tier: the cap is never consulted
+	}
+	return int64(states) * (m.CacheBytes() / int64(m.CachedStates()))
+}
+
 // TestCrossCheckRandom is the cross-check property: on randomized networks
 // (including counter and gate designs exercising the hybrid fallback) the
 // lazy engine's report set equals both reference simulators', at the
-// default cache size and at tiny caps that force flush-and-restart.
+// default cache size and at tiny caps (2 and 7 states) that force
+// per-state eviction.
 func TestCrossCheckRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	evictions := map[int]int{}
 	for trial := 0; trial < 120; trial++ {
 		n := randomNetwork(rng)
 		sim, err := automata.NewSimulator(n)
@@ -100,9 +117,16 @@ func TestCrossCheckRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cap := range []int{0, 2, 7} { // 0 = default
-			m, err := New(n, &Options{MaxCachedStates: cap})
+			opts := &Options{}
+			if cap > 0 {
+				opts.MaxCacheBytes = capBytes(t, n, cap)
+			}
+			m, err := New(n, opts)
 			if err != nil {
 				t.Fatalf("trial %d cap %d: %v", trial, cap, err)
+			}
+			if cap > 0 && m.HasLazyTier() && m.CacheBudget() != cap {
+				t.Fatalf("trial %d: cap %d gave a budget of %d states", trial, cap, m.CacheBudget())
 			}
 			for inTrial := 0; inTrial < 4; inTrial++ {
 				input := randomInput(rng, rng.Intn(40))
@@ -122,20 +146,27 @@ func TestCrossCheckRandom(t *testing.T) {
 					t.Fatalf("trial %d input %q: fastsim diverged from sim", trial, input)
 				}
 			}
+			evictions[cap] += m.Evictions()
+		}
+	}
+	for _, cap := range []int{2, 7} {
+		if evictions[cap] == 0 {
+			t.Errorf("the %d-state cap never evicted; eviction went untested", cap)
 		}
 	}
 }
 
-// TestTinyCapEvicts checks that a cap-2 cache actually thrashes (so the
+// TestTinyCapEvicts checks that a 2-state cache actually thrashes (so the
 // per-state eviction and in-edge repair paths are exercised) while still
 // completing — the bounded-memory guarantee that replaces the AOT
 // construction's abort. Whole-cache flushes must NOT happen: capacity
-// pressure is absorbed one state at a time.
+// pressure is absorbed one state at a time, and the input is far shorter
+// than the demotion detection window.
 func TestTinyCapEvicts(t *testing.T) {
 	n := automata.NewNetwork("w")
 	last := addChain(n, []byte("abc"), automata.StartAllInput)
 	n.SetReport(last, 0)
-	m, err := New(n, &Options{MaxCachedStates: 2})
+	m, err := New(n, &Options{MaxCacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,52 +176,52 @@ func TestTinyCapEvicts(t *testing.T) {
 		t.Fatalf("reports = %v, want %v", got, want)
 	}
 	if m.Evictions() == 0 {
-		t.Fatal("cap-2 cache should have evicted states")
+		t.Fatal("2-state cache should have evicted states")
 	}
-	if m.Demotions() != 0 {
-		t.Fatalf("fixed-cap cache should never flush wholesale, got %d", m.Demotions())
-	}
-	if m.Demoted() {
-		t.Fatal("fixed-cap matcher must not demote")
+	if m.Demotions() != 0 || m.Demoted() {
+		t.Fatalf("a 10-byte run must not demote, got %d demotions", m.Demotions())
 	}
 	if m.CachedStates() > 2 {
 		t.Fatalf("cache grew past cap: %d states", m.CachedStates())
 	}
 }
 
-// TestAdaptiveBudgetGrows checks the adaptive controller doubles the
-// budget away from its small initial size when the working set does not
-// fit, instead of thrashing forever.
-func TestAdaptiveBudgetGrows(t *testing.T) {
-	// Many distinct configurations: parallel anchored chains over a wide
-	// alphabet produce a state per prefix combination.
-	rng := rand.New(rand.NewSource(17))
-	n := automata.NewNetwork("grow")
-	for c := 0; c < 24; c++ {
-		word := make([]byte, 6)
-		for i := range word {
-			word[i] = byte('a' + rng.Intn(8))
+// TestByteCapFloor checks a byte cap below one state's estimate floors the
+// cache at 2 states — one state and its successor — and that the matcher
+// still reports exactly what the reference simulator does.
+func TestByteCapFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n := randomNetwork(rng)
+		sim, err := automata.NewSimulator(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		last := addChain(n, word, automata.StartAllInput)
-		n.SetReport(last, c)
-	}
-	m, err := New(n, &Options{InitialCachedStates: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheBudget() != 2 {
-		t.Fatalf("initial budget = %d, want 2", m.CacheBudget())
-	}
-	input := make([]byte, 1<<16)
-	for i := range input {
-		input[i] = byte('a' + rng.Intn(8))
-	}
-	m.Run(input)
-	if m.CacheBudget() <= 2 {
-		t.Fatalf("budget never grew from 2 (evictions=%d)", m.Evictions())
-	}
-	if m.Demoted() {
-		t.Fatal("budget growth should have absorbed the working set without demotion")
+		for _, nbytes := range []int64{1, capBytes(t, n, 1) - 1} {
+			m, err := New(n, &Options{MaxCacheBytes: nbytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.HasLazyTier() {
+				continue
+			}
+			if m.CacheBudget() != 2 {
+				t.Fatalf("trial %d: a %d-byte cap gave a budget of %d states, want 2", trial, nbytes, m.CacheBudget())
+			}
+			for k := 0; k < 4; k++ {
+				input := randomInput(rng, 1+rng.Intn(200))
+				got := m.Run(input)
+				if len(got) == 0 {
+					got = nil
+				}
+				if want := simSet(sim.Run(input)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %d-byte cap input %q: lazy %v != sim %v", trial, nbytes, input, got, want)
+				}
+			}
+			if m.CacheBudget() != 2 || m.CachedStates() > 2 {
+				t.Fatalf("trial %d: cache left the floor: budget %d, %d states", trial, m.CacheBudget(), m.CachedStates())
+			}
+		}
 	}
 }
 
@@ -212,7 +243,7 @@ func TestDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 1-byte cache cap clamps the state budget to the floor of 16, far
+	// A 1-byte cache cap clamps the state budget to the floor of 2, far
 	// below the working set, so every window thrashes at the limit.
 	m, err := New(n, &Options{MaxCacheBytes: 1})
 	if err != nil {

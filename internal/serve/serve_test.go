@@ -650,3 +650,21 @@ func TestDesignsCacheState(t *testing.T) {
 		}
 	}
 }
+
+// TestStartBoundsConnections: the server Start builds bounds slow request
+// headers and idle keep-alive connections, and sets no read or write
+// timeout that would cut a long-lived /v1/match/stream body.
+func TestStartBoundsConnections(t *testing.T) {
+	s := mustNew(t, Config{Addr: "127.0.0.1:0"})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	hs := s.httpSrv
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want %v and %v", hs.ReadHeaderTimeout, hs.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout=%v WriteTimeout=%v would cut stream bodies", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

@@ -65,9 +65,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies. Default 64 MiB.
 	MaxBodyBytes int64
-	// Workers and MaxCachedStates configure each design's engine.
-	Workers         int
-	MaxCachedStates int
+	// Workers sets each design's engine worker-pool size.
+	Workers int
 	// CrossCheck makes failover-mode designs verify results against their
 	// reference backend.
 	CrossCheck bool
@@ -249,6 +248,18 @@ func (s *Server) lookup(name string) (*design, error) {
 // Handler returns the server's HTTP handler, for mounting without Start.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection bounds of the HTTP server Start builds: a client has
+// readHeaderTimeout to send its request headers, and a keep-alive
+// connection closes after idleTimeout without a request. idleTimeout
+// exceeds net/http's default client IdleConnTimeout (90s), so pooled
+// clients such as the gateway retire an idle connection before the server
+// closes it under them. There is no read or write timeout: a
+// /v1/match/stream body lives as long as its client keeps sending.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // Start binds the configured listeners and serves in the background.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
@@ -256,7 +267,7 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	s.serveDone = make(chan struct{})
 	go func() {
 		defer close(s.serveDone)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"time"
 )
 
 // MetricsServer is a managed HTTP listener serving a registry's Handler.
@@ -18,6 +19,14 @@ type MetricsServer struct {
 	err  error
 }
 
+// Connection bounds of the metrics listener: a scraper has
+// readHeaderTimeout to send its request headers, and a keep-alive
+// connection closes after idleTimeout without a scrape.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // ListenAndServe binds addr and starts serving reg's exposition endpoints
 // (/metrics, /debug/vars) in a background goroutine. Close it with
 // Shutdown.
@@ -27,7 +36,7 @@ func ListenAndServe(addr string, reg *Registry) (*MetricsServer, error) {
 		return nil, err
 	}
 	s := &MetricsServer{
-		srv:  &http.Server{Handler: Handler(reg)},
+		srv:  &http.Server{Handler: Handler(reg), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout},
 		ln:   ln,
 		done: make(chan struct{}),
 	}

@@ -54,3 +54,16 @@ func TestMetricsServerBadAddr(t *testing.T) {
 		t.Fatal("want listen error")
 	}
 }
+
+// TestMetricsServerBoundsConnections: the metrics listener bounds slow
+// request headers and idle keep-alive connections.
+func TestMetricsServerBoundsConnections(t *testing.T) {
+	ms, err := ListenAndServe("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Shutdown(context.Background())
+	if ms.srv.ReadHeaderTimeout != readHeaderTimeout || ms.srv.IdleTimeout != idleTimeout {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want %v and %v", ms.srv.ReadHeaderTimeout, ms.srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+}

@@ -13,11 +13,10 @@ type Option func(*config)
 
 // config is the resolved option set.
 type config struct {
-	workers         int
-	maxCachedStates int
-	maxCacheBytes   int64
-	lanes           int
-	tel             *telemetry.Registry
+	workers       int
+	maxCacheBytes int64
+	lanes         int
+	tel           *telemetry.Registry
 }
 
 func applyOptions(opts []Option) config {
@@ -36,24 +35,13 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithMaxCachedStates fixes the design's lazy-DFA state cache — one per
-// design, shared by all its workers — at exactly n states; a full cache
-// evicts one cold state at a time (second-chance clock), so memory stays
-// bounded without aborting. Fixing the size also
-// disables the adaptive budget controller and mid-stream demotion, making
-// execution deterministic. Values <= 0 (the default) select the adaptive
-// budget: the cache starts small and grows toward the WithMaxCacheBytes
-// cap while the eviction rate stays high.
-func WithMaxCachedStates(n int) Option {
-	return func(c *config) { c.maxCachedStates = n }
-}
-
-// WithMaxCacheBytes caps the adaptive lazy-DFA cache budget in estimated
-// bytes per design (default lazydfa.DefaultMaxCacheBytes, 64 MiB): the
-// design's one cache is shared by all its workers, so the cap holds at
-// any worker count. When a design's working set cannot fit even at this
-// cap and eviction churn stays high, the design demotes itself to the NFA
-// bitset walk. Ignored when WithMaxCachedStates fixes the size.
+// WithMaxCacheBytes caps the design's lazy-DFA state cache in estimated
+// bytes (default lazydfa.DefaultMaxCacheBytes, 64 MiB): the design's one
+// cache is shared by all its workers, so the cap holds at any worker
+// count. The cache starts small and grows toward the cap; a full cache
+// evicts one cold state at a time (second-chance clock), and when a
+// design's working set cannot fit even at the cap and eviction churn stays
+// high, the design demotes itself to the NFA bitset walk.
 func WithMaxCacheBytes(n int64) Option {
 	return func(c *config) { c.maxCacheBytes = n }
 }
